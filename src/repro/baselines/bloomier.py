@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.errors import DuplicateKey, KeyNotFound, ReconstructionFailed
 from repro.core.stats import TableStats
-from repro.core.value_table import ValueTable
+from repro.core.value_table import ValueTable, xor_lookup, xor_lookup_batch
 from repro.hashing import HashFamily, key_to_u64
 from repro.table import Key, ValueOnlyTable
 
@@ -101,12 +101,10 @@ class Bloomier(ValueOnlyTable):
         return key_to_u64(key) in self._values
 
     def lookup(self, key: Key) -> int:
-        handle = key_to_u64(key)
-        return self._table.xor_sum(self._cells_for(handle))
+        return xor_lookup(self._table, self._hashes, key_to_u64(key))
 
     def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        index_arrays = self._hashes.indices_batch(np.asarray(keys, dtype=np.uint64))
-        return self._table.lookup_batch(index_arrays)
+        return xor_lookup_batch(self._table, self._hashes, keys)
 
     def insert(self, key: Key, value: int) -> None:
         """Add a pair — O(n): topology changed, so the table is rebuilt."""

@@ -9,14 +9,16 @@ that line — the faults a real process meets (allocator pressure, a disk
 hiccup inside a snapshot write) at the places it meets them.
 
 After each injected run the harness asserts the two halves of the strong
-exception guarantee:
+exception guarantee, and that the fault leaked no resource:
 
 - **consistency** — :meth:`VisionEmbedder.check_invariants` still holds
   (``A1 ^ A2 ^ A3`` answers every live key);
 - **bit-equality** — the table state (seed, dense cell planes, sorted
   assistant pairs) equals either the pre-operation snapshot (the fault
   rolled back) or the no-fault reference result (the fault landed after
-  the commit point). Anything else is a torn state.
+  the commit point). Anything else is a torn state;
+- **no leaked segment** — no shared-memory plane segment the run
+  created is still linked (names carry the creator's pid).
 
 Every run is replayable: a site id like ``repro/core/update.py:123#0``
 (file, line, zero-based occurrence of that line on the happy path) plus
@@ -36,14 +38,22 @@ tested, a failure mode no genuine fault can produce.
 from __future__ import annotations
 
 import ast
+import os
 import re
 import sys
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 from types import FrameType
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.core.config import EmbedderConfig
 from repro.core.embedder import VisionEmbedder
+from repro.core.shared_planes import (
+    SEGMENT_PREFIX,
+    SharedPlanes,
+    share_table,
+    unshare_table,
+)
 
 __all__ = [
     "FaultCase",
@@ -182,17 +192,19 @@ class InjectionOutcome:
     state: str  # "pre" | "post" | "diverged"
     consistent: bool
     detail: str = ""
+    leaked: Tuple[str, ...] = ()  # plane segments left linked
 
     @property
     def ok(self) -> bool:
         """The strong guarantee held: the fault fired, escaped to the
-        caller, the invariants still hold, and the table is bit-equal
-        to the pre- or post-operation state."""
+        caller, the invariants still hold, the table is bit-equal to the
+        pre- or post-operation state, and no shared segment leaked."""
         return (
             self.fired
             and bool(self.raised)
             and self.consistent
             and self.state in ("pre", "post")
+            and not self.leaked
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -204,6 +216,7 @@ class InjectionOutcome:
             "raised": self.raised,
             "state": self.state,
             "consistent": self.consistent,
+            "leaked": list(self.leaked),
             "ok": self.ok,
             "detail": self.detail,
         }
@@ -219,6 +232,13 @@ def _fingerprint(table: VisionEmbedder) -> Fingerprint:
         table._table.to_dense().tobytes(),
         tuple(sorted(table._assistant.pairs())),
     )
+
+
+def _plane_segments() -> FrozenSet[str]:
+    """Linked plane segments this process created (none without tmpfs)."""
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    names = os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
+    return frozenset(name for name in names if name.startswith(prefix))
 
 
 def discover_sites(case: FaultCase) -> List[InjectionSite]:
@@ -275,6 +295,7 @@ def _run_injection(
 
     raised = ""
     detail = ""
+    existing = _plane_segments()
     previous = sys.gettrace()
     try:
         sys.settrace(tracer)
@@ -285,6 +306,9 @@ def _run_injection(
     except BaseException as exc:
         raised = type(exc).__name__
         detail = str(exc)
+    leaked = tuple(sorted(_plane_segments() - existing))
+    for name in leaked:  # released, so the next site starts clean
+        shared_memory.SharedMemory(name=name).unlink()
 
     now = _fingerprint(table)
     if now == pre:
@@ -303,6 +327,9 @@ def _run_injection(
     if fired and not raised:
         note = "injected fault was swallowed inside the operation"
         detail = f"{detail}; {note}" if detail else note
+    if leaked:
+        note = f"shared segment(s) left linked: {', '.join(leaked)}"
+        detail = f"{detail}; {note}" if detail else note
     return InjectionOutcome(
         case=case.name,
         site_id=site.site_id,
@@ -312,6 +339,7 @@ def _run_injection(
         state=state,
         consistent=consistent,
         detail=detail,
+        leaked=leaked,
     )
 
 
@@ -451,13 +479,9 @@ def _shared_planes_case() -> FaultCase:
     must leave the table bit-equal to the pre- or post-insert state —
     mid-promote faults destroy the partial segments and re-raise
     (``share_table``), mid-insert faults ride the existing rollback
-    machinery, now through :class:`SharedPlanes` duck methods.
+    machinery, now through :class:`SharedPlanes` duck methods — and no
+    fault may leave a segment linked.
     """
-    from repro.core.shared_planes import (
-        SharedPlanes,
-        share_table,
-        unshare_table,
-    )
 
     def operate(table: VisionEmbedder) -> None:
         spec = share_table(table)

@@ -610,9 +610,9 @@ class YieldingValueTable:
         ))
         return int(self._inner.xor_sum(cell_list))
 
-    def lookup_batch(self, index_arrays: Any) -> Any:
+    def gather_xor(self, flat_mat: Any) -> Any:
         self._run.yield_point(frozenset({(_TABLE, "read")}))
-        return self._inner.lookup_batch(index_arrays)
+        return self._inner.gather_xor(flat_mat)
 
     def to_dense(self) -> Any:
         self._run.yield_point(frozenset({(_TABLE, "read")}))

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: sentinel location for whole-table operations (``clear``/``load_dense``/
-#: ``lookup_batch``/...) — conflicts with every cell location.
+#: ``gather_xor``/...) — conflicts with every cell location.
 WHOLE_TABLE: str = "<whole-table>"
 
 #: stack frames kept per recorded access (enough to show the caller chain
@@ -132,13 +132,13 @@ class BenignRace:
 
 
 #: the explicit allowlist. Exactly the paper's documented benign race:
-#: lock-free lookups (``get``/``xor_sum``/``lookup_batch``/``to_dense``)
+#: lock-free lookups (``get``/``xor_sum``/``gather_xor``/``to_dense``)
 #: racing a deferred-path application (``xor``). Whole-table rewrites
 #: (``clear``/``load_dense``/``set``/``fill``) are NOT allowlisted — those
 #: must be ordered by the rebuild gate, and an unordered one is a bug.
 BENIGN_RACES: Tuple[BenignRace, ...] = (
     BenignRace(
-        reader_ops=frozenset({"get", "xor_sum", "lookup_batch", "to_dense"}),
+        reader_ops=frozenset({"get", "xor_sum", "gather_xor", "to_dense"}),
         writer_ops=frozenset({"xor"}),
         why=(
             "§IV-B: a lock-free lookup may observe a partially applied "
@@ -490,9 +490,9 @@ class ClockedValueTable:
             self._detector.record_read(cell, "xor_sum")
         return int(self._inner.xor_sum(cell_list))
 
-    def lookup_batch(self, index_arrays: Any) -> Any:
-        self._detector.record_read(WHOLE_TABLE, "lookup_batch")
-        return self._inner.lookup_batch(index_arrays)
+    def gather_xor(self, flat_mat: Any) -> Any:
+        self._detector.record_read(WHOLE_TABLE, "gather_xor")
+        return self._inner.gather_xor(flat_mat)
 
     def to_dense(self) -> Any:
         self._detector.record_read(WHOLE_TABLE, "to_dense")

@@ -42,7 +42,7 @@ from repro.core.errors import (
 from repro.core.stats import TableStats
 from repro.core.static_build import static_build_arrays
 from repro.core.update import make_strategy, search_update_path
-from repro.core.value_table import ValueTable
+from repro.core.value_table import ValueTable, xor_lookup, xor_lookup_batch
 from repro.hashing import HashFamily, key_to_u64, keys_to_u64_batch
 from repro.obs.hooks import MetricsHooks, WalkHooks, default_metrics_enabled
 from repro.table import Key, ValueOnlyTable
@@ -110,11 +110,6 @@ class VisionEmbedder(ValueOnlyTable):
         # duck-compatible; single-key operations behave identically.
         self._engine = make_engine(self.config.backend)
         self._assistant: Any = self._engine.make_assistant(width, num_arrays)
-        # Per-array flat-id offsets j·width, cached for the fused batch
-        # lookup (width never changes, even across reconstructions).
-        self._flat_offsets = (
-            np.arange(num_arrays, dtype=np.int64) * width
-        )[:, None]
         self._seed = seed
         self._hashes = HashFamily(seed, [width] * num_arrays)
         self._stats = TableStats()
@@ -198,37 +193,15 @@ class VisionEmbedder(ValueOnlyTable):
     # repro: raises(ValueError, TypeError)
     def lookup(self, key: Key) -> int:  # repro: hotpath
         """XOR of the key's three cells — fast space only, O(1)."""
-        handle = key_to_u64(key)
-        return self._table.xor_sum(self._cells_for(handle))
+        return xor_lookup(self._table, self._hashes, key_to_u64(key))
 
     def lookup_batch(
         self, keys: npt.NDArray[np.uint64]
     ) -> npt.NDArray[np.uint64]:  # repro: hotpath
-        """Vectorised lookup over a ``uint64`` key array.
-
-        One fused gather + XOR-reduce over all three bit-plane arrays: the
-        per-array indices become one flat-id matrix and
-        :meth:`~repro.core.value_table.ValueTable.gather_xor` resolves the
-        whole batch without per-array Python dispatch.
-        """
-        key_array = np.asarray(keys, dtype=np.uint64)
-        if key_array.size == 0:
-            return np.zeros(0, dtype=np.uint64)
-        index_arrays = self._hashes.indices_batch(key_array)
-        flat_mat = (
-            np.stack(index_arrays).astype(np.int64) + self._flat_offsets
-        )
-        result: npt.NDArray[np.uint64] = self._table.gather_xor(flat_mat)
-        return result
-
-    # repro: raises(ValueError, TypeError)
-    def lookup_many(self, keys: Iterable[Key]) -> npt.NDArray[np.uint64]:
-        """Batched lookup over arbitrary (mixed-type) keys.
-
-        Canonicalises the keys to one ``uint64`` handle array and resolves
-        them through the fused :meth:`lookup_batch` path.
-        """
-        return self.lookup_batch(keys_to_u64_batch(list(keys)))
+        """Vectorised lookup over a ``uint64`` key array: one fused
+        gather + XOR-reduce over every plane
+        (:func:`~repro.core.value_table.xor_lookup_batch`)."""
+        return xor_lookup_batch(self._table, self._hashes, keys)
 
     # repro: atomic
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)

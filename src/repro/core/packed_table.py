@@ -15,7 +15,7 @@ vectorised, including the straddle handling.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -118,19 +118,6 @@ class PackedValueTable:
             need_spill, self._words[words + 1] << shift, np.uint64(0)
         )
         return (low | high) & np.uint64(self.value_mask)
-
-    def lookup_batch(self, index_arrays: Sequence[np.ndarray]) -> np.ndarray:  # repro: hotpath
-        """Vectorised lookup: XOR across arrays at per-array index vectors."""
-        if len(index_arrays) != self.num_arrays:
-            raise ValueError("need one index vector per array")
-        result = None
-        for j in range(self.num_arrays):
-            flat = np.asarray(index_arrays[j], dtype=np.uint64) + np.uint64(
-                j * self.width
-            )
-            values = self._gather(flat)
-            result = values if result is None else result ^ values
-        return result
 
     def gather_xor(self, flat_mat: np.ndarray) -> np.ndarray:  # repro: hotpath
         """Fused batch lookup over a ``(num_arrays, k)`` flat-id matrix.

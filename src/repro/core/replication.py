@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.config import EmbedderConfig
 from repro.core.embedder import VisionEmbedder
-from repro.core.value_table import ValueTable
+from repro.core.value_table import ValueTable, xor_lookup, xor_lookup_batch
 from repro.hashing import HashFamily, key_to_u64
 from repro.table import Key
 
@@ -194,18 +194,13 @@ class DataPlaneReplica:
         """Fast-space lookup, identical to the publisher's."""
         if self._table is None or self._hashes is None:
             raise RuntimeError("replica has no snapshot yet")
-        handle = key_to_u64(key)
-        cells = tuple(enumerate(self._hashes.indices(handle)))
-        return self._table.xor_sum(cells)
+        return xor_lookup(self._table, self._hashes, key_to_u64(key))
 
     def lookup_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised fast-space lookup."""
         if self._table is None or self._hashes is None:
             raise RuntimeError("replica has no snapshot yet")
-        index_arrays = self._hashes.indices_batch(
-            np.asarray(keys, dtype=np.uint64)
-        )
-        return self._table.lookup_batch(index_arrays)
+        return xor_lookup_batch(self._table, self._hashes, keys)
 
     def state_equals(self, embedder: VisionEmbedder) -> bool:
         """Bit-exact comparison with a publisher's fast space (tests)."""

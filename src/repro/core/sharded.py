@@ -13,7 +13,8 @@ hash seeds, Assistant Table, dynamic-depth state, and failure domain, so
   :meth:`ShardedEmbedder.build`'s worker pool — reusing the vectorised
   per-table batch primitives (``insert_batch``/``bulk_load``), and
 - batched lookups scatter to the shards and gather back through one
-  ``argsort``-based permutation (:meth:`ShardedEmbedder.lookup_batch`).
+  ``argsort``-based permutation (:func:`scatter_gather`, which worker
+  processes over shared planes use too).
 
 Sharding is a scaling extension of this reproduction, not part of the
 paper (docs/paper_mapping.md); HierarchicalKV-style partitioned embedding
@@ -44,7 +45,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -57,7 +58,8 @@ from repro.hashing import key_to_u64, keys_to_u64_batch
 from repro.obs.registry import MetricsRegistry, aggregate
 from repro.table import Key, ValueOnlyTable
 
-__all__ = ["ShardedEmbedder", "route_handle", "route_handles"]
+__all__ = ["ShardedEmbedder", "partition", "route_handle", "route_handles",
+           "scatter_gather"]
 
 #: 64-bit mask for the scalar router mix.
 _M64 = (1 << 64) - 1
@@ -109,6 +111,55 @@ def route_handles(  # repro: hotpath
     h = h * np.uint64(_MIX_2)
     h = h ^ (h >> np.uint64(33))
     return (h % np.uint64(num_shards)).astype(np.uint8)
+
+
+def partition(
+    handles: npt.NDArray[np.uint64], shard_seed: int, num_shards: int
+) -> Tuple[npt.NDArray[np.int64], List[Tuple[int, int, int]]]:
+    """Group ``handles`` by shard with one vectorised pass.
+
+    Returns ``(order, spans)``: ``order`` permutes positions so equal
+    shard ids are contiguous (stable, so per-shard order is the arrival
+    order), and each ``(shard, lo, hi)`` in ``spans`` names a non-empty
+    shard and its slice ``lo:hi`` of the permuted array.
+    """
+    ids = route_handles(handles, shard_seed, num_shards)
+    order = np.argsort(ids, kind="stable").astype(np.int64)
+    # Shard ids fit a uint8 only up to 255, so the end bound is appended.
+    bounds = np.searchsorted(
+        ids[order], np.arange(num_shards, dtype=np.uint8)
+    ).tolist() + [len(ids)]
+    spans = [
+        (shard, bounds[shard], bounds[shard + 1])
+        for shard in range(num_shards) if bounds[shard] != bounds[shard + 1]
+    ]
+    return order, spans
+
+
+def scatter_gather(  # repro: hotpath
+    handles: npt.NDArray[np.uint64],
+    shard_seed: int,
+    num_shards: int,
+    lookup_shard: Callable[[int, npt.NDArray[np.uint64]],
+                           npt.NDArray[np.uint64]],
+) -> npt.NDArray[np.uint64]:
+    """Batch lookup across shards, answers in input order.
+
+    ``lookup_shard(shard, shard_handles)`` answers each span of the
+    :func:`partition`, and one inverse permutation scatters the answers
+    back. A single shard skips the routing.
+    """
+    handle_array = np.asarray(handles, dtype=np.uint64)
+    if num_shards == 1:
+        return lookup_shard(0, handle_array)
+    order, spans = partition(handle_array, shard_seed, num_shards)
+    grouped = handle_array[order]
+    answers = np.empty(grouped.size, dtype=np.uint64)
+    for shard, lo, hi in spans:
+        answers[lo:hi] = lookup_shard(shard, grouped[lo:hi])
+    out = np.empty(grouped.size, dtype=np.uint64)
+    out[order] = answers
+    return out
 
 
 def _build_shard_payload(
@@ -268,29 +319,6 @@ class ShardedEmbedder(ValueOnlyTable):
         """The shard index ``key`` routes to (stable for the table's life)."""
         return self._shard_of_handle(key_to_u64(key))
 
-    def _shard_ids(  # repro: hotpath
-        self, handles: npt.NDArray[np.uint64]
-    ) -> npt.NDArray[np.uint8]:
-        """Vectorised router (see module-level :func:`route_handles`)."""
-        return route_handles(handles, self._shard_seed, self.num_shards)
-
-    def _partition(
-        self, handles: npt.NDArray[np.uint64]
-    ) -> Tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        """Group ``handles`` by shard with one vectorised pass.
-
-        Returns ``(order, bounds)``: ``order`` permutes positions so equal
-        shard ids are contiguous (stable, so per-shard insertion order is
-        the arrival order), and ``bounds[s]:bounds[s+1]`` delimits shard
-        ``s``'s slice of the permuted array.
-        """
-        ids = self._shard_ids(handles)
-        order = np.argsort(ids, kind="stable").astype(np.int64)
-        bounds = np.searchsorted(
-            ids[order], np.arange(self.num_shards + 1, dtype=np.uint8)
-        ).astype(np.int64)
-        return order, bounds
-
     # ------------------------------------------------------------------
     # ValueOnlyTable surface
     # ------------------------------------------------------------------
@@ -388,32 +416,17 @@ class ShardedEmbedder(ValueOnlyTable):
     def lookup_batch(  # repro: hotpath
         self, keys: npt.NDArray[np.uint64]
     ) -> npt.NDArray[np.uint64]:
-        """Vectorised scatter/gather lookup over a ``uint64`` key array.
-
-        One router pass computes every key's shard id, a stable single-byte
-        argsort groups keys per shard, each shard answers its contiguous
-        slice with its own vectorised ``lookup_batch``, and one inverse
-        permutation scatters the answers back into input order.
-        """
+        """Vectorised lookup over a ``uint64`` key array: each shard
+        answers its keys with its own ``lookup_batch``
+        (:func:`scatter_gather`)."""
         handles = np.asarray(keys, dtype=np.uint64)
-        n = int(handles.size)
-        if n == 0:
-            return np.zeros(0, dtype=np.uint64)
-        self._gather_batches_counter.inc()
-        self._gather_keys_counter.inc(n)
-        if self.num_shards == 1:
-            return self._shards[0].lookup_batch(handles)
-        order, bounds = self._partition(handles)
-        grouped = handles[order]
-        answers = np.empty(n, dtype=np.uint64)
-        for index, shard in enumerate(self._shards):
-            lo = int(bounds[index])
-            hi = int(bounds[index + 1])
-            if lo != hi:
-                answers[lo:hi] = shard.lookup_batch(grouped[lo:hi])
-        out = np.empty(n, dtype=np.uint64)
-        out[order] = answers
-        return out
+        if handles.size:
+            self._gather_batches_counter.inc()
+            self._gather_keys_counter.inc(int(handles.size))
+        return scatter_gather(
+            handles, self._shard_seed, self.num_shards,
+            lambda shard, part: self._shards[shard].lookup_batch(part),
+        )
 
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
@@ -521,15 +534,9 @@ class ShardedEmbedder(ValueOnlyTable):
             raise ValueError(
                 f"value {bad} out of range for {self._value_bits}-bit values"
             )
-        order, bounds = self._partition(handles)
+        order, jobs = partition(handles, self._shard_seed, self.num_shards)
         grouped_handles = handles[order]
         grouped_values = values[order]
-        jobs: List[Tuple[int, int, int]] = []
-        for index in range(self.num_shards):
-            lo = int(bounds[index])
-            hi = int(bounds[index + 1])
-            if lo != hi:
-                jobs.append((index, lo, hi))
         for index, lo, hi in jobs:
             # Vectorised membership against the shard's assistant (one
             # sorted-index / dict pass instead of a per-key loop).

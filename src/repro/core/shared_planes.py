@@ -50,8 +50,8 @@ from typing import (
     Callable,
     Iterable,
     Iterator,
+    List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -82,6 +82,9 @@ _PACKED_SLOT = 7
 
 _U64 = np.uint64
 _M64 = (1 << 64) - 1
+
+#: Prefix of the names :meth:`SharedPlanes.create` picks, before its pid.
+SEGMENT_PREFIX = "repro-planes-"
 
 # Reader spin budget while the generation is odd. Owner writes hold the
 # generation odd only for the duration of one numpy plane mutation
@@ -138,6 +141,24 @@ def _storage(inner: _PlaneTable) -> npt.NDArray[np.uint64]:
     if isinstance(inner, PackedValueTable):
         return inner._words
     return inner._cells
+
+
+def _new_segment(
+    name: Optional[str], size: int
+) -> shared_memory.SharedMemory:
+    """Create segment ``name`` or, without one, a fresh unique name."""
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    for _ in range(16):
+        try:
+            # No line may run between creation and the caller's handler.
+            return shared_memory.SharedMemory(
+                name=name or prefix + secrets.token_hex(4),
+                create=True, size=size,
+            )
+        except FileExistsError:
+            if name is not None:
+                raise
+    raise SharedPlanesError("could not allocate a unique segment name")
 
 
 def _swap_storage(inner: _PlaneTable, words: npt.NDArray[np.uint64]) -> None:
@@ -207,53 +228,49 @@ class SharedPlanes:
         inner = _make_inner(width, value_bits, num_arrays, packed)
         nwords = int(_storage(inner).size)
         size = (_HEADER_WORDS + nwords) * _WORD_BYTES
-        shm: Optional[shared_memory.SharedMemory] = None
-        for _ in range(16):
-            candidate = name or f"repro-planes-{os.getpid()}-{secrets.token_hex(4)}"
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=candidate, create=True, size=size
-                )
-                break
-            except FileExistsError:
-                if name is not None:
-                    raise
-        if shm is None:  # pragma: no cover - 16 collisions of 8 random bytes
-            raise SharedPlanesError("could not allocate a unique segment name")
-        spec = SharedPlanesSpec(
-            name=shm.name,
-            width=width,
-            value_bits=value_bits,
-            num_arrays=num_arrays,
-            packed=packed,
-        )
-        # Map the words through the tmpfs path where possible, releasing
-        # the SharedMemory handle's own mapping right away (the handle is
-        # kept only for unlink + its resource_tracker registration). A
-        # ``numpy.memmap`` dies quietly with its last view, so a handle
-        # abandoned mid-teardown never refuses to close at GC the way an
-        # mmap with exported buffer pointers does.
-        path = os.path.join("/dev/shm", shm.name)
-        if os.path.exists(path):
+        shm = _new_segment(name, size)
+        try:
+            spec = SharedPlanesSpec(
+                name=shm.name,
+                width=width,
+                value_bits=value_bits,
+                num_arrays=num_arrays,
+                packed=packed,
+            )
+            # Map the words through the tmpfs path where possible,
+            # releasing the SharedMemory handle's own mapping right away
+            # (the handle is kept only for unlink + its resource_tracker
+            # registration). A ``numpy.memmap`` dies quietly with its last
+            # view, so a handle abandoned mid-teardown never refuses to
+            # close at GC the way an mmap with exported buffer pointers
+            # does.
+            path = os.path.join("/dev/shm", shm.name)
+            if os.path.exists(path):
+                shm.close()
+                mapped = np.memmap(path, dtype=_U64, mode="r+")
+                full = cast(npt.NDArray[np.uint64], mapped)
+            else:  # pragma: no cover - non-tmpfs platforms
+                full = np.frombuffer(shm.buf, dtype=_U64)
+            header = full[:_HEADER_WORDS]
+            data = full[_HEADER_WORDS : _HEADER_WORDS + nwords]
+            header[_MAGIC_SLOT] = _U64(_MAGIC)
+            header[_GEN_SLOT] = _U64(0)
+            header[_SEED_SLOT] = _U64(seed & _M64)
+            header[_LEN_SLOT] = _U64(length)
+            header[_WIDTH_SLOT] = _U64(width)
+            header[_BITS_SLOT] = _U64(value_bits)
+            header[_ARRAYS_SLOT] = _U64(num_arrays)
+            header[_PACKED_SLOT] = _U64(1 if packed else 0)
+            _swap_storage(inner, data)
+            return cls(
+                inner, spec, header, data, writable=True, created=True,
+                shm=shm,
+            )
+        except BaseException:
+            # No owner handle exists yet to unlink the segment later.
             shm.close()
-            mapped = np.memmap(path, dtype=_U64, mode="r+")
-            full = cast(npt.NDArray[np.uint64], mapped)
-        else:  # pragma: no cover - non-tmpfs platforms
-            full = np.frombuffer(shm.buf, dtype=_U64)
-        header = full[:_HEADER_WORDS]
-        data = full[_HEADER_WORDS : _HEADER_WORDS + nwords]
-        header[_MAGIC_SLOT] = _U64(_MAGIC)
-        header[_GEN_SLOT] = _U64(0)
-        header[_SEED_SLOT] = _U64(seed & _M64)
-        header[_LEN_SLOT] = _U64(length)
-        header[_WIDTH_SLOT] = _U64(width)
-        header[_BITS_SLOT] = _U64(value_bits)
-        header[_ARRAYS_SLOT] = _U64(num_arrays)
-        header[_PACKED_SLOT] = _U64(1 if packed else 0)
-        _swap_storage(inner, data)
-        return cls(
-            inner, spec, header, data, writable=True, created=True, shm=shm
-        )
+            shm.unlink()
+            raise
 
     @classmethod
     def attach(
@@ -451,14 +468,6 @@ class SharedPlanes:
         materialised = tuple(cells)
         return self.read_stable(lambda: self._inner.xor_sum(materialised))
 
-    def lookup_batch(
-        self, index_arrays: Sequence[npt.NDArray[Any]]
-    ) -> npt.NDArray[np.uint64]:  # repro: hotpath
-        result = self.read_stable(
-            lambda: self._inner.lookup_batch(index_arrays)
-        )
-        return cast(npt.NDArray[np.uint64], result)
-
     def gather_xor(
         self, flat_mat: npt.NDArray[np.int64]
     ) -> npt.NDArray[np.uint64]:  # repro: hotpath
@@ -512,12 +521,13 @@ class SharedPlanes:
         """
         if self._closed:
             return
-        self._closed = True
         self._inner = self._inner.copy()
         self._header = np.array(self._header, dtype=_U64)
         self._data = self._header[:0]
         if self._shm is not None:
             self._shm.close()
+        # Last, so an interrupted close is redone in full by the next call.
+        self._closed = True
 
     def unlink(self) -> None:
         """Remove the segment name (creating owner only)."""
@@ -532,10 +542,11 @@ class SharedPlanes:
                 pass
 
     def destroy(self) -> None:
-        """Detach and unlink (owner teardown)."""
-        self.close()
+        """Unlink, then detach (owner teardown): an error while detaching
+        cannot leave the segment's name behind."""
         if self._created:
             self.unlink()
+        self.close()
 
     def __enter__(self) -> "SharedPlanes":
         return self
@@ -566,57 +577,69 @@ def share_table(table: Any) -> SharedTableSpec:
     Accepts a :class:`~repro.core.embedder.VisionEmbedder` or a
     :class:`~repro.core.sharded.ShardedEmbedder`; each shard's planes are
     copied into a fresh segment and the shard's ``_table`` is swapped for
-    the writable :class:`SharedPlanes` owner handle. The swap is the last
-    step per shard, so a failure mid-promotion leaves the table exactly
-    as it was (the already-built segments are destroyed on the way out).
+    the writable :class:`SharedPlanes` owner handle. The swaps come last,
+    so a failure mid-promotion leaves the table exactly as it was (every
+    segment built so far is destroyed on the way out).
 
     Returns the :class:`SharedTableSpec` reader processes attach with.
     """
     shards = _shards_of(table)
-    planes_list = []
+    originals = [shard._table for shard in shards]
+    planes_list: List[SharedPlanes] = []
     try:
-        for shard in shards:
-            inner = shard._table
-            planes = SharedPlanes.create(
+        for shard, inner in zip(shards, originals):
+            # Tracked by the creating statement itself, so the handler
+            # below destroys every segment that exists.
+            planes_list.append(SharedPlanes.create(
                 inner.width,
                 inner.value_bits,
                 inner.num_arrays,
                 packed=isinstance(inner, PackedValueTable),
                 seed=shard.seed,
                 length=len(shard),
-            )
-            # Track the segment before filling it: a fault during the
-            # dense copy must still destroy it on the way out.
-            planes_list.append(planes)
-            planes.load_dense(inner.to_dense())
+            ))
+            planes_list[-1].load_dense(inner.to_dense())
+        spec = SharedTableSpec(
+            shards=tuple(planes.spec for planes in planes_list),
+            shard_seed=int(getattr(table, "_shard_seed", 0)),
+            value_bits=int(table.value_bits),
+            capacity=int(getattr(table, "capacity", 0)),
+        )
+        for shard, planes in zip(shards, planes_list):
+            shard._table = planes
+        return spec
     except BaseException:
+        for shard, inner in zip(shards, originals):
+            shard._table = inner
         for planes in planes_list:
             planes.destroy()
         raise
-    for shard, planes in zip(shards, planes_list):
-        shard._table = planes
-    return SharedTableSpec(
-        shards=tuple(planes.spec for planes in planes_list),
-        shard_seed=int(getattr(table, "_shard_seed", 0)),
-        value_bits=int(table.value_bits),
-        capacity=int(getattr(table, "capacity", 0)),
-    )
 
 
 def unshare_table(table: Any) -> None:
     """Demote a promoted table back to private plane storage.
 
-    Each shard's :class:`SharedPlanes` owner handle is replaced with a
-    plain in-process table holding the same bits, then the segment is
-    closed and unlinked. A no-op for shards that were never promoted.
+    Each shard's segment is unlinked and closed, and its
+    :class:`SharedPlanes` owner handle replaced with a plain in-process
+    table holding the same bits. A no-op for shards that were never
+    promoted. A failure part-way still releases every segment; a shard
+    not yet swapped keeps its closed handle, which serves the same bits
+    from a private copy.
     """
-    for shard in _shards_of(table):
-        planes = shard._table
-        if not isinstance(planes, SharedPlanes):
-            continue
-        private = planes.copy()
-        shard._table = private
-        planes.destroy()
+    try:
+        for shard in _shards_of(table):
+            planes = shard._table
+            if isinstance(planes, SharedPlanes):
+                private = planes.copy()
+                # Destroy before the swap, so the error path below still
+                # finds the handle of every segment not yet released.
+                planes.destroy()
+                shard._table = private
+    except BaseException:
+        for shard in _shards_of(table):
+            if isinstance(shard._table, SharedPlanes):
+                shard._table.destroy()
+        raise
 
 
 def refresh_meta(table: Any) -> None:

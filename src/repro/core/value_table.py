@@ -5,16 +5,47 @@ This is the only structure a lookup touches (§III). Cells are addressed by
 batch lookups vectorise. Space accounting is *analytic* — ``space_bits``
 reports the bit count the hardware structure would occupy (3·w·L), which is
 what the paper's space figures measure, not Python object overhead.
+
+:func:`xor_lookup` and :func:`xor_lookup_batch` are the lookup itself
+(hash → gather → XOR), written once for every table over any plane storage.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence, Tuple
+from typing import Any, Iterable, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.hashing import HashFamily
+
 Cell = Tuple[int, int]
+
+
+def xor_lookup(
+    planes: Any, hashes: HashFamily, handle: int
+) -> int:  # repro: hotpath
+    """The paper's lookup (§III): XOR of the cells ``hashes`` selects for
+    ``handle``, one per array of ``planes``."""
+    result: int = planes.xor_sum(enumerate(hashes.indices(handle)))
+    return result
+
+
+def xor_lookup_batch(
+    planes: Any, hashes: HashFamily, handles: npt.NDArray[np.uint64]
+) -> npt.NDArray[np.uint64]:  # repro: hotpath
+    """Vectorised :func:`xor_lookup` over a ``uint64`` handle array.
+
+    One hashing pass per array, one ``(num_arrays, k)`` matrix of flat
+    cell ids ``j·width + t``, and one ``planes.gather_xor`` — the only
+    batched read plane storage provides.
+    """
+    handle_array = np.asarray(handles, dtype=np.uint64)
+    flat_mat = np.stack(hashes.indices_batch(handle_array)).astype(np.int64)
+    offsets = np.arange(len(flat_mat), dtype=np.int64) * planes.width
+    flat_mat += offsets[:, None]
+    result: npt.NDArray[np.uint64] = planes.gather_xor(flat_mat)
+    return result
 
 
 class ValueTable:
@@ -69,23 +100,6 @@ class ValueTable:
         result = 0
         for cell in cells:
             result ^= int(self._cells[cell])
-        return result
-
-    def lookup_batch(
-        self, index_arrays: Sequence[npt.NDArray[Any]]
-    ) -> npt.NDArray[np.uint64]:  # repro: hotpath
-        """Vectorised lookup: XOR across arrays at per-array index vectors.
-
-        ``index_arrays[j]`` holds, for each queried key, its index into
-        array ``j``. Returns a ``uint64`` vector of XOR sums.
-        """
-        if len(index_arrays) != self.num_arrays:
-            raise ValueError("need one index vector per array")
-        result: npt.NDArray[np.uint64] = self._cells[0][
-            np.asarray(index_arrays[0], dtype=np.int64)
-        ].copy()
-        for j in range(1, self.num_arrays):
-            result ^= self._cells[j][np.asarray(index_arrays[j], dtype=np.int64)]
         return result
 
     def gather_xor(

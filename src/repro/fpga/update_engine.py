@@ -26,7 +26,7 @@ from typing import Deque, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.replication import Message, SnapshotMessage, UpdateMessage
-from repro.core.value_table import ValueTable
+from repro.core.value_table import ValueTable, xor_lookup
 from repro.fpga.pipeline import NUM_STAGES, LookupPipeline
 from repro.hashing import HashFamily
 
@@ -163,5 +163,4 @@ class DataPlaneDevice:
         """A combinational read of the current table state (test helper)."""
         if self._table is None or self._hashes is None:
             raise RuntimeError("device has no snapshot yet")
-        cells = tuple(enumerate(self._hashes.indices(int(key))))
-        return self._table.xor_sum(cells)
+        return xor_lookup(self._table, self._hashes, int(key))

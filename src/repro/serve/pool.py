@@ -9,8 +9,8 @@ worker processes, each hosting the existing
   table's planes into shared memory
   (:func:`~repro.core.shared_planes.share_table`); each worker attaches a
   reader-role :class:`~repro.core.shared_planes.SharedPlanes` per shard
-  and answers ``/v1/lookup`` with the same hash→gather→XOR pipeline as
-  :class:`~repro.core.embedder.VisionEmbedder`, wrapped in the seqlock
+  and answers ``/v1/lookup`` with the owner table's own read functions
+  (shard scatter/gather, then hash→gather→XOR), wrapped in the seqlock
   read protocol so a concurrent owner write is retried, never torn.
 - **Writes route to the single owner.** Workers forward
   insert/update/delete over a per-worker pipe; the owner service thread
@@ -47,9 +47,10 @@ import multiprocessing
 import os
 import socket
 import threading
+import time
 from contextlib import ExitStack
 from multiprocessing import connection as mp_connection
-from typing import Any, Dict, List, Optional, Tuple, cast
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -61,8 +62,9 @@ from repro.core.shared_planes import (
     share_table,
     unshare_table,
 )
-from repro.core.sharded import route_handle, route_handles
+from repro.core.sharded import route_handle, scatter_gather
 from repro.core.stats import TableStats
+from repro.core.value_table import xor_lookup, xor_lookup_batch
 from repro.hashing import HashFamily, key_to_u64
 from repro.obs.exporters import json_snapshot, registry_from_snapshot
 from repro.obs.registry import MetricsRegistry, aggregate
@@ -71,6 +73,8 @@ from repro.serve.server import TableServer
 from repro.table import Key, ValueOnlyTable
 
 __all__ = ["WorkerPool", "WorkerTable"]
+
+_T = TypeVar("_T")
 
 #: Seconds the owner waits for each worker's ready handshake.
 _READY_TIMEOUT_S = 30.0
@@ -117,12 +121,8 @@ class WorkerTable(ValueOnlyTable):
         self._families: List[Optional[Tuple[int, HashFamily]]] = [
             None
         ] * len(self._planes)
-        self._offsets: List[npt.NDArray[np.int64]] = [
-            (
-                np.arange(planes.num_arrays, dtype=np.int64) * planes.width
-            )[:, None]
-            for planes in self._planes
-        ]
+        # Number of the last RPC sent; the owner echoes it in the reply.
+        self._rpc_seq = 0
         self._registry = MetricsRegistry()
         self._retries_counter = self._registry.counter(
             "repro_planes_generation_retries_total",
@@ -134,15 +134,25 @@ class WorkerTable(ValueOnlyTable):
     # -- plumbing -----------------------------------------------------------
 
     def rpc_call(self, op: str, *args: Any) -> Any:
-        """One owner round-trip; re-raises errors the owner sent back."""
+        """One owner round-trip; re-raises errors the owner sent back.
+
+        Late replies to calls that already timed out carry an older
+        sequence number and are discarded within the same deadline.
+        """
         with self._rpc_lock:
-            self._rpc.send((op, *args))
-            if not self._rpc.poll(self._rpc_timeout_s):
-                raise TimeoutError(
-                    f"owner did not answer {op!r} within "
-                    f"{self._rpc_timeout_s:.0f}s"
-                )
-            status, payload = self._rpc.recv()
+            self._rpc_seq += 1
+            seq = self._rpc_seq
+            self._rpc.send((seq, op, *args))
+            deadline = time.monotonic() + self._rpc_timeout_s
+            while True:
+                if not self._rpc.poll(max(0.0, deadline - time.monotonic())):
+                    raise TimeoutError(
+                        f"owner did not answer {op!r} within "
+                        f"{self._rpc_timeout_s:.0f}s"
+                    )
+                reply_seq, status, payload = self._rpc.recv()
+                if reply_seq == seq:
+                    break
         if status == "err":
             raise payload
         return payload
@@ -162,12 +172,24 @@ class WorkerTable(ValueOnlyTable):
             self._retries_counter.inc(total - self._retries_seen)
             self._retries_seen = total
 
-    def _shard_of(self, handle: int) -> int:
-        if len(self._planes) == 1:
-            return 0
-        return route_handle(
-            handle, self._spec.shard_seed, len(self._planes)
-        )
+    def _read_shard(
+        self,
+        shard: int,
+        lookup: Callable[[SharedPlanes, HashFamily, Any], _T],
+        handles: Any,
+    ) -> _T:
+        """``lookup(planes, family, handles)`` on one shard.
+
+        The seed read, the hashing, and the gather must all see the same
+        generation — a reconstruction changes seeds *and* cells together —
+        so the entire computation sits inside one ``read_stable``.
+        """
+        planes = self._planes[shard]
+
+        def compute() -> _T:
+            return lookup(planes, self._family(shard, planes.seed), handles)
+
+        return planes.read_stable(compute)
 
     # -- reads (local, torn-free) -------------------------------------------
 
@@ -175,70 +197,23 @@ class WorkerTable(ValueOnlyTable):
     def lookup(self, key: Key) -> int:  # repro: hotpath
         """Three-read XOR lookup straight from the shared planes."""
         handle = key_to_u64(key)
-        shard = self._shard_of(handle)
-        planes = self._planes[shard]
-
-        def compute() -> int:
-            family = self._family(shard, planes.seed)
-            cells = tuple(enumerate(family.indices(handle)))
-            return planes.xor_sum(cells)
-
-        value = planes.read_stable(compute)
+        shard = route_handle(handle, self._spec.shard_seed, len(self._planes))
+        value = self._read_shard(shard, xor_lookup, handle)
         self._sync_retries()
         return value
 
     def lookup_batch(  # repro: hotpath
         self, keys: npt.NDArray[np.uint64]
     ) -> npt.NDArray[np.uint64]:
-        """Vectorised scatter/gather lookup mirroring the sharded table."""
-        handles = np.asarray(keys, dtype=np.uint64)
-        n = int(handles.size)
-        if n == 0:
-            return np.zeros(0, dtype=np.uint64)
-        if len(self._planes) == 1:
-            out = self._shard_lookup(0, handles)
-            self._sync_retries()
-            return out
-        ids = route_handles(
-            handles, self._spec.shard_seed, len(self._planes)
+        """Vectorised lookup, scattered to the shards like the owner's."""
+        out = scatter_gather(
+            keys, self._spec.shard_seed, len(self._planes),
+            lambda shard, part: self._read_shard(
+                shard, xor_lookup_batch, part
+            ),
         )
-        order = np.argsort(ids, kind="stable").astype(np.int64)
-        bounds = np.searchsorted(
-            ids[order], np.arange(len(self._planes) + 1, dtype=np.uint8)
-        ).astype(np.int64)
-        grouped = handles[order]
-        answers = np.empty(n, dtype=np.uint64)
-        for shard in range(len(self._planes)):
-            lo = int(bounds[shard])
-            hi = int(bounds[shard + 1])
-            if lo != hi:
-                answers[lo:hi] = self._shard_lookup(shard, grouped[lo:hi])
-        out = np.empty(n, dtype=np.uint64)
-        out[order] = answers
         self._sync_retries()
         return out
-
-    def _shard_lookup(
-        self, shard: int, handles: npt.NDArray[np.uint64]
-    ) -> npt.NDArray[np.uint64]:
-        """One shard's fused gather, whole-computation seqlock protected.
-
-        The seed read, the hashing, and the gather must all see the same
-        generation — a reconstruction changes seeds *and* cells together —
-        so the entire slice computation sits inside one ``read_stable``.
-        """
-        planes = self._planes[shard]
-
-        def compute() -> npt.NDArray[np.uint64]:
-            family = self._family(shard, planes.seed)
-            index_arrays = family.indices_batch(handles)
-            flat_mat = (
-                np.stack(index_arrays).astype(np.int64)
-                + self._offsets[shard]
-            )
-            return planes.gather_xor(flat_mat)
-
-        return planes.read_stable(compute)
 
     def __len__(self) -> int:
         return sum(planes.length for planes in self._planes)
@@ -623,12 +598,13 @@ class WorkerPool:
                         pass
                     continue
                 sender = self._rpc_conns.index(conn)
+                seq, request = message[0], message[1:]
                 try:
-                    result = self._handle_rpc(message, sender)
+                    result = self._handle_rpc(request, sender)
                 except Exception as exc:  # noqa: BLE001 - travels to worker
-                    reply: Tuple[str, Any] = ("err", exc)
+                    reply: Tuple[int, str, Any] = (seq, "err", exc)
                 else:
-                    reply = ("ok", result)
+                    reply = (seq, "ok", result)
                 try:
                     conn.send(reply)
                 except (OSError, BrokenPipeError):  # pragma: no cover

@@ -21,6 +21,7 @@ are deterministic under any OS scheduling.
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.check import main
@@ -29,6 +30,7 @@ from repro.check.scheduler import (
     CooperativeRWLock,
     Scenario,
     ScheduleError,
+    YieldingValueTable,
     embedder_scenario,
     explore,
     footprints_conflict,
@@ -185,6 +187,34 @@ class TestRaceDetector:
         assert detector.summary()["races"] == 0
         embedder.check_invariants()
 
+    def test_instrumented_batch_lookup_is_recorded(self):
+        # Batch lookups read the planes through gather_xor; the proxy
+        # must record that read, or no batch lookup is ever checked.
+        detector = RaceDetector()
+        embedder = ConcurrentVisionEmbedder(256, 8, seed=3)
+        for i in range(16):
+            embedder.insert(i + 1, i + 100)
+        instrument_concurrent(embedder, detector)
+        keys = np.arange(1, 17, dtype=np.uint64)
+        assert embedder.lookup_batch(keys).tolist() == list(range(100, 116))
+        assert detector.summary()["locations"] > 0
+
+    def test_batch_read_racing_clear_is_a_race(self):
+        # A whole-table rewrite is not on the benign allowlist, whichever
+        # lookup path reads the table.
+        detector = RaceDetector()
+        table = ClockedValueTable(detector, ValueTable(8, 8))
+        flat_mat = np.array([[1], [9], [17]], dtype=np.int64)
+        t1 = TracedThread(detector, lambda: table.gather_xor(flat_mat))
+        t2 = TracedThread(detector, table.clear)
+        t1.start()
+        t2.start()
+        t1.join()
+        t2.join()
+        assert detector.summary()["races"] == 1
+        assert {detector.races[0].first.op, detector.races[0].second.op} \
+            == {"gather_xor", "clear"}
+
     def test_seeded_unsynchronised_write_caught(self):
         # Seeded bug: a rogue thread writing a cell with set() while a
         # legitimate update of the key owning that cell runs under the
@@ -256,6 +286,26 @@ class TestRunSchedule:
     def test_empty_scenario_rejected(self):
         with pytest.raises(ScheduleError, match="no tasks"):
             run_schedule(lambda run: Scenario(tasks={}))
+
+    def test_batch_lookup_is_a_yield_point(self):
+        def factory(run):
+            embedder = ConcurrentVisionEmbedder(64, 8, seed=3)
+            embedder.insert(1, 5)
+            embedder.instrument_sync(
+                mutex=CooperativeMutex(run),
+                gate=CooperativeRWLock(run),
+                table=YieldingValueTable(run, embedder._table),
+            )
+            keys = np.array([1], dtype=np.uint64)
+            return Scenario(
+                tasks={"batch": lambda: embedder.lookup_batch(keys)}
+            )
+
+        result = run_schedule(factory)
+        assert result.error is None
+        assert frozenset({(("table",), "read")}) in [
+            step.footprint for step in result.steps
+        ]
 
 
 class TestExplore:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import EmbedderConfig, VisionEmbedder
+from repro.core import EmbedderConfig, ShardedEmbedder, VisionEmbedder
 from repro.factory import TABLE_NAMES, make_table
 
 
@@ -140,6 +140,16 @@ class TestBatchEdges:
         table.insert(5, 200)
         out = table.lookup_batch(np.array([5, 5, 5], dtype=np.uint64))
         assert out.tolist() == [200, 200, 200]
+
+    def test_most_shards_keep_every_key(self):
+        # 256 shards is the router's limit: the last shard's slice must
+        # survive both the partitioned build and the batch lookup.
+        table = ShardedEmbedder(4000, 8, num_shards=256, seed=2)
+        keys = np.arange(1, 3001, dtype=np.uint64)
+        table.insert_many((key, key % 256) for key in keys.tolist())
+        assert len(table) == 3000
+        assert len(table.shards[255]) > 0
+        assert np.array_equal(table.lookup_batch(keys), keys % 256)
 
 
 class TestConfigEdges:

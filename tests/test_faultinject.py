@@ -1,9 +1,15 @@
 """The fault-injection explorer: every injected fault leaves the table
 bit-equal to the pre- or post-operation state (repro.check.faultinject)."""
 
+import glob
+import os
+import secrets
+from multiprocessing import shared_memory
+
 import pytest
 
 from repro.check.faultinject import (
+    FaultCase,
     InjectionSite,
     default_cases,
     discover_sites,
@@ -13,6 +19,8 @@ from repro.check.faultinject import (
     run_case_sweep,
     run_sweep,
 )
+from repro.core.embedder import VisionEmbedder
+from repro.core.shared_planes import SEGMENT_PREFIX
 
 
 def _case(name):
@@ -69,6 +77,33 @@ class TestSweep:
             assert outcome.consistent, outcome.to_dict()
             assert outcome.state in ("pre", "post"), outcome.to_dict()
             assert outcome.ok
+
+    def test_leaked_segment_fails_the_site_and_is_released(self):
+        # An operation that unlinks its segment only on success: every
+        # injected fault escapes before the unlink.
+        prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+
+        def operate(table):
+            segment = shared_memory.SharedMemory(
+                name=prefix + secrets.token_hex(4), create=True, size=64
+            )
+            segment.close()
+            table.insert(5000, 1)
+            segment.unlink()
+
+        case = FaultCase(
+            name="leaky", build=lambda: VisionEmbedder(64, 8, seed=1),
+            operate=operate,
+        )
+        outcomes = run_case_sweep(case, max_sites=3)
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert outcome.raised and outcome.state in ("pre", "post")
+            assert len(outcome.leaked) == 1
+            assert outcome.leaked[0].startswith(prefix)
+            assert "left linked" in outcome.detail
+            assert not outcome.ok
+        assert not glob.glob(f"/dev/shm/{prefix}*")
 
     def test_replay_by_site_id_is_deterministic(self):
         case = _case("insert_batch-scalar")

@@ -74,8 +74,9 @@ class TestAgainstDenseReference:
             dense.set(cell, value)
         indices = [np.random.default_rng(j).integers(0, 37, size=100)
                    for j in range(3)]
+        flat_mat = np.stack([indices[j] + j * 37 for j in range(3)])
         assert np.array_equal(
-            packed.lookup_batch(indices), dense.lookup_batch(indices)
+            packed.gather_xor(flat_mat), dense.gather_xor(flat_mat)
         )
 
     def test_to_dense_matches(self, value_bits):

@@ -13,11 +13,14 @@ and promotes planes.
 """
 
 import glob
+import multiprocessing
+import threading
+import time
 
 import pytest
 
 from repro.core.sharded import ShardedEmbedder
-from repro.core.shared_planes import SharedPlanes
+from repro.core.shared_planes import SharedPlanes, SharedTableSpec
 from repro.obs import (
     MetricsRegistry,
     json_snapshot,
@@ -25,6 +28,7 @@ from repro.obs import (
     registry_from_snapshot,
 )
 from repro.serve import ServeClient, ServeConfig, WorkerPool
+from repro.serve.pool import WorkerTable
 
 
 def _segments():
@@ -140,6 +144,48 @@ class TestWorkerPool:
         table = _make_table(keys=10, shards=1)
         with pytest.raises(ValueError):
             WorkerPool(table, workers=0)
+
+
+class _StallingTable:
+    """Answers membership only; the first query outlasts the RPC timeout."""
+
+    def __init__(self, stall_s):
+        self._stall_s = stall_s
+        self.queries = []
+
+    def __contains__(self, key):
+        self.queries.append(key)
+        if len(self.queries) == 1:
+            time.sleep(self._stall_s)
+        return key == "next"
+
+
+class TestRpc:
+    def test_late_reply_is_not_taken_for_the_next_answer(self):
+        # The owner's service loop on a thread, the worker's table on the
+        # other end of the pipe: no fork needed.
+        owner_end, worker_end = multiprocessing.Pipe(duplex=True)
+        pool = WorkerPool(_StallingTable(stall_s=0.3), workers=1)
+        pool._rpc_conns = [owner_end]
+        service = threading.Thread(target=pool._service_loop, daemon=True)
+        service.start()
+        spec = SharedTableSpec(
+            shards=(), shard_seed=0, value_bits=8, capacity=0
+        )
+        worker = WorkerTable(spec, worker_end, rpc_timeout_s=0.05)
+        try:
+            with pytest.raises(TimeoutError):
+                worker.rpc_call("contains", "first")
+            # The owner still answers "first" (False) before "next".
+            worker._rpc_timeout_s = 10.0
+            assert worker.rpc_call("contains", "next") is True
+            assert pool.table.queries == ["first", "next"]
+        finally:
+            pool._service_stop.set()
+            service.join(timeout=5.0)
+            owner_end.close()
+            worker_end.close()
+        assert not service.is_alive()
 
 
 class TestSnapshotRoundTrip:

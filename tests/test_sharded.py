@@ -23,6 +23,7 @@ from repro.core import (
     save_sharded,
 )
 from repro.core.errors import DuplicateKey
+from repro.core.sharded import route_handles
 from repro.factory import make_table
 
 SHARD_COUNTS = (1, 2, 8, 13)
@@ -122,7 +123,7 @@ class TestRouting:
         keys = np.array(
             random.Random(0).sample(range(1, 10**9), 5000), dtype=np.uint64
         )
-        vector = table._shard_ids(keys)
+        vector = route_handles(keys, table._shard_seed, table.num_shards)
         for key, expected in zip(keys.tolist()[:500], vector.tolist()):
             assert table._shard_of_handle(key) == expected
 

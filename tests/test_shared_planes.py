@@ -5,7 +5,9 @@ Four tiers:
 - **Parity** — promoting a table into shared segments must be invisible:
   bit-equal lookups before and after ``share_table``/``unshare_table``,
   on plain and bit-packed planes, scalar and sharded tables, with writes
-  landing in the shared words in between.
+  landing in the shared words in between; and every reader of the
+  segments (a worker's table, a replica) answers like the table itself,
+  also after a reseed.
 - **Seqlock** — the generation protocol itself: odd while a transaction
   is open, reader retries when the generation moves mid-read, the retry
   budget surfaces as :class:`SharedPlanesError`, reader-role handles
@@ -15,8 +17,9 @@ Four tiers:
   two legal states, never a mixture (the acceptance criterion of the
   scale-out issue).
 - **Hygiene** — ``/dev/shm`` is left clean by the normal lifecycle, by a
-  SIGKILL'd owner (its ``resource_tracker`` unlinks), and a dying reader
-  never unlinks a segment it does not own.
+  SIGKILL'd owner (its ``resource_tracker`` unlinks), and by a failure
+  inside create, promote or demote; a dying reader never unlinks a
+  segment it does not own.
 """
 
 import glob
@@ -30,16 +33,20 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import shared_planes
 from repro.core.embedder import VisionEmbedder
 from repro.core.errors import SharedPlanesError
+from repro.core.replication import DataPlaneReplica, PublishingVisionEmbedder
 from repro.core.sharded import ShardedEmbedder
 from repro.core.shared_planes import (
     SharedPlanes,
     SharedPlanesSpec,
+    refresh_meta,
     share_table,
     unshare_table,
 )
 from repro.hashing import HashFamily, key_to_u64
+from repro.serve.pool import WorkerTable
 
 
 def _segments():
@@ -149,6 +156,69 @@ class TestParity:
         finally:
             shm.close()
             shm.unlink()
+
+
+class TestReadPathParity:
+    """Every reader of one table runs the same lookup and must agree:
+    the table itself, a worker's view of its shared segments, and (for
+    an unsharded table) a replica fed by its message stream — also once
+    a reconstruction has reseeded one shard under the worker's cached
+    hash family."""
+
+    @staticmethod
+    def _assert_agree(table, readers, keys, values):
+        probes = [
+            np.zeros(0, dtype=np.uint64), keys[:1],
+            np.repeat(keys[:5], 3), keys,
+        ]
+        assert np.array_equal(table.lookup_batch(keys), values)
+        for reader in readers:
+            for key in keys[:40].tolist():
+                assert reader.lookup(key) == table.lookup(key)
+            for probe in probes:
+                assert np.array_equal(
+                    reader.lookup_batch(probe), table.lookup_batch(probe)
+                )
+
+    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("num_shards", [None, 1, 8])
+    def test_readers_agree_before_and_after_a_reseed(
+        self, packed, num_shards
+    ):
+        keys = np.arange(1, 401, dtype=np.uint64) * np.uint64(7919)
+        values = (keys * np.uint64(13) + np.uint64(5)) % np.uint64(65536)
+        readers = []
+        if num_shards is None:
+            table = PublishingVisionEmbedder(800, 16, seed=5, packed=packed)
+            replica = DataPlaneReplica()
+            table.subscribe(replica.apply)
+            readers.append(replica)
+            reseeded = table
+        else:
+            table = ShardedEmbedder(
+                800, 16, num_shards=num_shards, seed=5, packed=packed
+            )
+            reseeded = table.shards[num_shards // 2]
+        table.insert_batch(keys, values.tolist())
+        owner_end, worker_end = multiprocessing.Pipe()
+        worker = WorkerTable(share_table(table), worker_end)
+        readers.append(worker)
+        try:
+            self._assert_agree(table, readers, keys, values)
+            seed = reseeded.seed
+            if num_shards is None:
+                table.reconstruct()
+            else:
+                table.reconstruct(shard=num_shards // 2)
+            refresh_meta(table)
+            assert reseeded.seed != seed
+            self._assert_agree(table, readers, keys, values)
+        finally:
+            worker.close()
+            owner_end.close()
+            worker_end.close()
+            unshare_table(table)
+        assert not _segments()
 
 
 # ---------------------------------------------------------------------------
@@ -417,3 +487,59 @@ class TestSegmentHygiene:
         assert not any(
             isinstance(s._table, SharedPlanes) for s in table.shards
         )
+
+    def test_create_failure_unlinks_the_segment(self, monkeypatch):
+        baseline = _segments()
+
+        def boom(self, *args, **kwargs):
+            raise MemoryError("fault after the segment exists")
+
+        monkeypatch.setattr(SharedPlanes, "__init__", boom)
+        with pytest.raises(MemoryError):
+            SharedPlanes.create(64, 16, 3)
+        assert _segments() == baseline
+
+    def test_share_failure_after_filling_restores_and_unlinks(
+        self, monkeypatch
+    ):
+        table = ShardedEmbedder(capacity=800, value_bits=16, num_shards=4)
+        table.insert_many((k, k % 65536) for k in range(200))
+        expected = _probe_lookups(table, range(200))
+        privates = [shard._table for shard in table.shards]
+        baseline = _segments()
+
+        def boom(**kwargs):
+            raise MemoryError("fault once every segment is filled")
+
+        monkeypatch.setattr(shared_planes, "SharedTableSpec", boom)
+        with pytest.raises(MemoryError):
+            share_table(table)
+        assert _segments() == baseline
+        assert all(
+            shard._table is private
+            for shard, private in zip(table.shards, privates)
+        )
+        assert _probe_lookups(table, range(200)) == expected
+
+    def test_unshare_failure_still_unlinks_every_segment(self, monkeypatch):
+        table = ShardedEmbedder(capacity=800, value_bits=16, num_shards=4)
+        table.insert_many((k, k % 65536) for k in range(200))
+        expected = _probe_lookups(table, range(200))
+        baseline = _segments()
+        share_table(table)
+        copies = []
+        real_copy = SharedPlanes.copy
+
+        def copy_fails_on_second_shard(self):
+            copies.append(self)
+            if len(copies) == 2:
+                raise MemoryError("fault in the private copy")
+            return real_copy(self)
+
+        monkeypatch.setattr(SharedPlanes, "copy", copy_fails_on_second_shard)
+        with pytest.raises(MemoryError):
+            unshare_table(table)
+        assert _segments() == baseline
+        # Shards left holding their closed handle still serve the bits.
+        assert _probe_lookups(table, range(200)) == expected
+        table.check_invariants()

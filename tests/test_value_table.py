@@ -77,15 +77,11 @@ class TestBatchLookup:
             for t in range(32):
                 table.set((j, t), int(rng.integers(0, 256)))
         indices = [rng.integers(0, 32, size=100) for _ in range(3)]
-        batch = table.lookup_batch(indices)
+        flat_mat = np.stack([indices[j] + j * 32 for j in range(3)])
+        batch = table.gather_xor(flat_mat)
         for pos in range(100):
             cells = [(j, int(indices[j][pos])) for j in range(3)]
             assert int(batch[pos]) == table.xor_sum(cells)
-
-    def test_wrong_arity_rejected(self):
-        table = ValueTable(width=4, value_bits=8)
-        with pytest.raises(ValueError):
-            table.lookup_batch([np.zeros(3, dtype=np.int64)] * 2)
 
 
 class TestLifecycle:
