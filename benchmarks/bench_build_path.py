@@ -5,10 +5,11 @@ Times five legs at the same workload (uniform random uint64 keys, 12-bit
 values, capacity == n so the final space efficiency matches a full table):
 
 - ``scalar_insert_reference`` — per-key :meth:`VisionEmbedder.insert` with
-  the cost cache and the minimal-bucket shortcut disabled: the
-  unoptimised write path (full GetCost DFS + per-key hashing).
+  the minimal-bucket shortcut disabled: the unoptimised write path (full
+  GetCost DFS + per-key hashing).
 - ``scalar_insert`` — per-key insert under the default configuration.
-- ``insert_many`` — the batched pipeline (vectorised hashing + cost cache).
+- ``insert_many`` — the batched pipeline (vectorised hashing + batched
+  validation feeding the same walks).
 - ``bulk_load_reference`` — static build through the dict-of-sets
   reference peel with per-key scalar hashing.
 - ``bulk_load`` — static build through the flat-array (IBLT-style) peel
@@ -20,8 +21,7 @@ table's metrics registry as ``<out-base>.metrics.json`` /
 ``<out-base>.metrics.prom`` sidecars — the timed legs above stay
 hook-free so the speedup numbers measure the bare write path.
 
-Results, speedups, and cost-cache counters are written to
-``BENCH_build.json``. ``--check`` exits non-zero when the speedups fall
+Results and speedups are written to ``BENCH_build.json``. ``--check`` exits non-zero when the speedups fall
 below the thresholds (halved in ``--smoke`` mode, whose small n keeps the
 whole run under ~30 s for CI while still catching a >2x write-path
 regression), when the metrics sidecar fails to parse, when the
@@ -48,7 +48,6 @@ if __package__ in (None, ""):  # script invocation: make src/ importable
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     )
 
-from repro.core.config import EmbedderConfig
 from repro.core.embedder import VisionEmbedder
 from repro.core.static_build import static_build_reference
 from repro.hashing import key_to_u64
@@ -71,12 +70,8 @@ def make_workload(n: int):
     return keys, values
 
 
-def make_embedder(n: int, cache: bool = True,
-                  shortcut: bool = True) -> VisionEmbedder:
-    table = VisionEmbedder(
-        capacity=n, value_bits=VALUE_BITS, seed=SEED,
-        config=EmbedderConfig(cost_cache=cache),
-    )
+def make_embedder(n: int, shortcut: bool = True) -> VisionEmbedder:
+    table = VisionEmbedder(capacity=n, value_bits=VALUE_BITS, seed=SEED)
     if not shortcut:
         table._strategy.shortcut = False
     return table
@@ -96,7 +91,7 @@ def run_legs(n: int) -> dict:
         print(f"{name:>24}: {seconds:7.2f}s  ({legs[name]['kops']:8.1f} kops)")
 
     # -- scalar insert, unoptimised reference ---------------------------
-    table = make_embedder(n, cache=False, shortcut=False)
+    table = make_embedder(n, shortcut=False)
     start = time.perf_counter()
     for key, value in zip(key_list, value_list):
         table.insert(key, value)
@@ -115,9 +110,6 @@ def run_legs(n: int) -> dict:
     table.insert_many(zip(key_list, value_list))
     stats = table.stats
     record("insert_many", time.perf_counter() - start, {
-        "cost_cache_hits": stats.cost_cache_hits,
-        "cost_cache_misses": stats.cost_cache_misses,
-        "cost_cache_hit_rate": round(stats.cost_cache_hit_rate, 4),
         "largest_batch": stats.largest_batch,
     })
     table.check_invariants()
@@ -201,17 +193,6 @@ def check_sidecar(json_path: str, prom_path: str, table) -> list:
         problems.append("prom/json walk-step counts disagree")
 
     stats = table.stats
-    rate = stats.cost_cache_hit_rate
-    exported_rate = (
-        snapshot.get("gauges", {})
-        .get("repro_cost_cache_hit_rate", {})
-        .get("value")
-    )
-    if exported_rate is None or abs(exported_rate - rate) > 1e-9:
-        problems.append(
-            f"repro_cost_cache_hit_rate gauge={exported_rate!r} but "
-            f"TableStats.cost_cache_hit_rate={rate!r}"
-        )
     for name, attr in SIDECAR_COUNTERS.items():
         expected = getattr(stats, attr)
         exported = snapshot.get("counters", {}).get(name, {}).get("value")
@@ -261,11 +242,6 @@ def main(argv=None) -> int:
         "speedups": speedups,
         "thresholds": thresholds,
     }
-    # Reading the hit-rate property refreshes its gauge so the sidecar
-    # export carries the rate the --check validation recomputes.
-    report["cost_cache_hit_rate"] = round(
-        traced_table.stats.cost_cache_hit_rate, 4
-    )
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -13,10 +13,6 @@ so the final space efficiency matches a full table):
   read path. Lookups do not depend on the backend (both run the same
   ``xor_lookup_batch``), so the scalar-built table's answers are checked
   but not timed.
-- ``numba_insert_many`` — only when numba is importable; otherwise the
-  leg is recorded as skipped (the backend silently degrades to the
-  vector kernels, so timing it without numba would duplicate the vector
-  leg).
 
 Results and throughput gates are written to ``BENCH_engine.json``.
 ``--check`` exits non-zero when a leg misses its threshold (relaxed in
@@ -43,7 +39,7 @@ if __package__ in (None, ""):  # script invocation: make src/ importable
         0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     )
 
-from repro.core import HAVE_NUMBA, EmbedderConfig, VisionEmbedder
+from repro.core import EmbedderConfig, VisionEmbedder
 from repro.obs import parse_prometheus_text, write_sidecar
 
 SEED = 3
@@ -93,8 +89,7 @@ def run_legs(n: int) -> tuple:
         }
         print(f"{name:>22}: {seconds:7.2f}s  ({legs[name]['kops']:9.1f} kops)")
 
-    backends = ["scalar", "vector"] + (["numba"] if HAVE_NUMBA else [])
-    for backend in backends:
+    for backend in ("scalar", "vector"):
         table = make_embedder(n, backend)
         start = time.perf_counter()
         table.insert_many(zip(key_list, value_list))
@@ -113,10 +108,6 @@ def run_legs(n: int) -> tuple:
                    (time.perf_counter() - start) / repeats)
         if not np.array_equal(table.lookup_batch(keys), values):
             raise SystemExit(f"{backend} lookup_batch returned wrong values")
-
-    if not HAVE_NUMBA:
-        legs["numba_insert_many"] = {"skipped": "numba not importable"}
-        print(f"{'numba_insert_many':>22}: skipped (numba not importable)")
     return legs, vector_table
 
 
@@ -176,7 +167,7 @@ def main(argv=None) -> int:
 
     n = 20_000 if args.smoke else args.n
     thresholds = SMOKE_THRESHOLDS if args.smoke else FULL_THRESHOLDS
-    print(f"engine benchmark: n={n} smoke={args.smoke} numba={HAVE_NUMBA}")
+    print(f"engine benchmark: n={n} smoke={args.smoke}")
     legs, vector_table = run_legs(n)
 
     sidecar_paths = None
@@ -190,7 +181,6 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "value_bits": VALUE_BITS,
         "seed": SEED,
-        "numba_available": HAVE_NUMBA,
         "legs": legs,
         "thresholds_kops": thresholds,
         "speedups": {

@@ -6,7 +6,7 @@ Sweeps :class:`repro.core.sharded.ShardedEmbedder` against the single
 random uint64 keys, 12-bit values, capacity == n):
 
 - ``single_sequential_reference`` — per-key ``insert`` into one table
-  with the cost cache and the minimal-bucket shortcut disabled: the
+  with the minimal-bucket shortcut disabled: the
   unsharded, unbatched, unoptimised write path every speedup is
   measured against (the same leg, and the same gate framing, as
   ``bench_build_path``'s ``scalar_insert_reference``).
@@ -89,12 +89,8 @@ def make_workload(n: int):
     return keys, values
 
 
-def make_single(n: int, *, cache: bool = True,
-                shortcut: bool = True) -> VisionEmbedder:
-    table = VisionEmbedder(
-        capacity=n, value_bits=VALUE_BITS, seed=SEED,
-        config=EmbedderConfig(cost_cache=cache),
-    )
+def make_single(n: int, *, shortcut: bool = True) -> VisionEmbedder:
+    table = VisionEmbedder(capacity=n, value_bits=VALUE_BITS, seed=SEED)
     if not shortcut:
         table._strategy.shortcut = False
     return table
@@ -135,15 +131,15 @@ def run_legs(n: int, sweep: dict) -> dict:
             raise SystemExit(f"lookup mismatch after building {table!r}")
 
     def release(table) -> None:
-        # A built 100k-key table is a large live heap (assistant-table key
-        # sets + cost cache); keeping one alive would tax every later
-        # allocation-heavy leg with whole-heap gen-2 GC passes. Each leg
-        # therefore times its lookups immediately and frees its table.
+        # A built 100k-key table is a large live heap (the assistant
+        # table's index); keeping one alive would skew every later leg's
+        # allocation costs. Each leg therefore times its lookups
+        # immediately and frees its table.
         del table
         gc.collect()
 
     # -- single-table baselines -----------------------------------------
-    single = make_single(n, cache=False, shortcut=False)
+    single = make_single(n, shortcut=False)
     start = time.perf_counter()
     for key, value in pairs:
         single.insert(key, value)
@@ -193,12 +189,6 @@ def run_legs(n: int, sweep: dict) -> dict:
                     max(row["space_efficiency"] for row in rows), 4),
                 "reconstructions": int(
                     sum(row["reconstructions"] for row in rows)),
-                "cost_cache_hits": int(
-                    sum(row["cost_cache_hits"] for row in rows)),
-                "cost_cache_misses": int(
-                    sum(row["cost_cache_misses"] for row in rows)),
-                "cost_cache_invalidations": int(
-                    sum(row["cost_cache_invalidations"] for row in rows)),
             }
             record(f"sharded_s{num_shards}_w{workers}", seconds, extra)
             verify(sharded)

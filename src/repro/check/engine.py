@@ -101,7 +101,7 @@ class CheckConfig:
     #: half of the invariant); a cell write after one of these must be
     #: rollback-protected (R501).
     assistant_registrations: Tuple[str, ...] = (
-        "add", "add_batch", "set_value",
+        "add", "add_batch_arrays", "set_value",
     )
     #: assistant-table methods an exception handler may use to roll the
     #: registration back (restoring A1^A2^A3 == value on the error edge).

@@ -26,10 +26,7 @@ from repro.core.shared_planes import (
 )
 from repro.core.assistant_table import AssistantTable
 from repro.core.engine import (
-    HAVE_NUMBA,
-    ArrayAssistant,
     ExecutionEngine,
-    NumbaEngine,
     ReferenceVectorEngine,
     ScalarEngine,
     VectorEngine,
@@ -67,14 +64,11 @@ __all__ = [
     "share_table",
     "unshare_table",
     "AssistantTable",
-    "ArrayAssistant",
     "ExecutionEngine",
     "ScalarEngine",
     "VectorEngine",
-    "NumbaEngine",
     "ReferenceVectorEngine",
     "make_engine",
-    "HAVE_NUMBA",
     "VisionEmbedder",
     "ConcurrentVisionEmbedder",
     "ShardedEmbedder",

@@ -2,211 +2,309 @@
 
 For every value-table cell ``A_j[t]`` it records the set ``S_j[t]`` of keys
 hashed there and the counter ``C_j[t] = |S_j[t]|``; it also keeps the full
-key → value mapping and each key's three cells, so updates never rehash.
+key → value mapping and each key's cells, so updates never rehash.
 Lookups never touch this structure — it exists purely to support dynamic
 updates, deletion, and reconstruction.
 
-Two facilities exist for the batched write pipeline:
+Storage is columnar, one row per registered pair in registration order:
+``uint64`` keys and values, an ``(num_arrays, rows)`` matrix of flat cell
+ids ``j·width + t``, and an alive mask. Batches register in a few numpy
+passes (:meth:`AssistantTable.add_batch_arrays`), and a rollback snapshot
+is a copy of the live columns (:meth:`AssistantTable.snapshot`).
 
-- :meth:`AssistantTable.add_batch` bulk-registers many pairs in one call
-  (used by the static construction and by :meth:`VisionEmbedder.insert_batch`
-  after the hashes have been computed in one vectorised pass).
-- Per-bucket **generation counters**: every ``add``/``remove`` bumps the
-  counter of each touched bucket, and ``clear`` bumps a global epoch.
-  :class:`~repro.core.update.VisionStrategy` keys its GetCost cost-cache on
-  these, so repair walks over stable regions skip recomputing identical
-  DFS subtrees.
+Beside the columns sits the index the §IV repair walk reads, built from
+plain Python containers so a walk step costs dict and tuple operations,
+never a numpy scalar access:
+
+- a key → row dict;
+- :attr:`AssistantTable.members`, one tuple of keys per flat cell — the
+  bucket ``S_j[t]``, whose length is ``C_j[t]``;
+- one tuple of flat cell ids per row (:meth:`AssistantTable.flats`).
+
+Every container holds only ints (tuples of ints, an int → int dict), so
+CPython's cycle collector stops tracking them: a table adds a handful of
+GC-tracked objects however many keys it holds.
+
+Removing a pair clears its alive bit. A full column compacts stably
+before it grows — dead rows dropped, registration order kept — so under
+insert/delete churn it holds at most ``max(2·live, live + batch)`` rows,
+and :meth:`AssistantTable.pairs` stays in registration order (which
+:meth:`~repro.core.embedder.VisionEmbedder.reconstruct` re-inserts in).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 Cell = Tuple[int, int]
 
+#: Rows a fresh table reserves.
+_MIN_ROWS = 16
+
+
+class Columns(NamedTuple):
+    """The live pairs as columns, in registration order (a copy)."""
+
+    keys: npt.NDArray[np.uint64]
+    values: npt.NDArray[np.uint64]
+    #: ``(num_arrays, n)`` flat cell ids ``j·width + t``.
+    flats: npt.NDArray[np.int64]
+
 
 class AssistantTable:
     """Slow-space bookkeeping: per-cell key sets, counters, and KV pairs."""
 
-    def __init__(self, width: int, num_arrays: int = 3):
+    def __init__(self, width: int, num_arrays: int = 3) -> None:
         if width <= 0:
             raise ValueError("width must be positive")
         self.width = width
         self.num_arrays = num_arrays
-        # S_j[t]: one set of keys per cell.
-        self._cell_keys = [
-            [set() for _ in range(width)] for _ in range(num_arrays)
-        ]
-        # Flat alias of the same set objects, indexed ``j * width + t``.
-        # The cost-cache hot path uses this (and the flat generation list
-        # below) to avoid nested indexing; the sets are shared, never
-        # replaced, so both views always agree.
-        self._buckets = [
-            bucket for per_array in self._cell_keys for bucket in per_array
-        ]
-        # Per-bucket mutation counters (cost-cache invalidation), indexed
-        # ``j * width + t`` like ``_buckets``.
-        self._gens = [0] * (num_arrays * width)
-        # Bumped whenever the whole table is cleared; per-bucket counters
-        # restart at zero afterwards, so cached readers must compare epochs
-        # before trusting any generation value.
-        self.generation_epoch = 0
-        self._values: Dict[int, int] = {}
-        self._cells: Dict[int, Tuple[Cell, ...]] = {}
+        self._n_rows = 0
+        self._keys = np.zeros(_MIN_ROWS, dtype=np.uint64)
+        self._vals = np.zeros(_MIN_ROWS, dtype=np.uint64)
+        self._flats = np.zeros((num_arrays, _MIN_ROWS), dtype=np.int64)
+        self._alive = np.zeros(_MIN_ROWS, dtype=bool)
+        self._row: Dict[int, int] = {}
+        # One tuple of flat cell ids per row; () once the pair is removed.
+        self._row_flats: List[Tuple[int, ...]] = []
+        #: ``S_j[t]`` per flat cell ``j·width + t``, as a tuple of keys in
+        #: registration order. Read-only for callers; the table replaces a
+        #: bucket's tuple whenever the bucket changes.
+        self.members: List[Tuple[int, ...]] = [()] * (num_arrays * width)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._row)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._values
+        return key in self._row
 
     def contains_batch(
         self, handles: npt.NDArray[np.uint64]
     ) -> npt.NDArray[np.bool_]:
-        """Vectorised membership over a ``uint64`` handle array.
-
-        Mirrors :meth:`repro.core.engine.ArrayAssistant.contains_batch` so
-        the batched validation path is backend-agnostic; here the store is
-        a dict, so it is one O(1) probe per handle.
-        """
-        values = self._values
+        """Vectorised membership over a ``uint64`` handle array."""
+        row = self._row
+        if not row:
+            return np.zeros(handles.size, dtype=bool)
         return np.fromiter(
-            (handle in values for handle in handles.tolist()),
+            (handle in row for handle in handles.tolist()),
             dtype=bool,
-            count=len(handles),
+            count=handles.size,
         )
 
+    # -- mutation --------------------------------------------------------
+
     def add(self, key: int, value: int, cells: Tuple[Cell, ...]) -> None:  # repro: hotpath
-        """Record a new KV pair and register the key at each of its cells."""
-        if key in self._values:
+        """Record a new KV pair and register the key at each of its cells
+        (one per array, in array order, as a hash family yields them)."""
+        if key in self._row:
             raise KeyError(f"key {key!r} already recorded")
-        self._values[key] = value
-        self._cells[key] = cells
+        if self._n_rows == self._keys.size:
+            self._reserve(1)
+        row = self._n_rows
+        self._keys[row] = key
+        self._vals[row] = value
         width = self.width
-        for j, t in cells:
-            flat = j * width + t
-            self._buckets[flat].add(key)
-            self._gens[flat] += 1
+        members = self.members
+        flats = tuple([j * width + t for j, t in cells])
+        for j, flat in enumerate(flats):
+            self._flats[j, row] = flat
+            members[flat] += (key,)
+        self._alive[row] = True
+        self._n_rows = row + 1
+        self._row[key] = row
+        self._row_flats.append(flats)
 
-    def add_batch(  # repro: hotpath
+    def add_batch_arrays(  # repro: hotpath
         self,
-        keys: Sequence[int],
-        values: Sequence[int],
-        cells_list: Sequence[Tuple[Cell, ...]],
+        handles: npt.NDArray[np.uint64],
+        values: npt.NDArray[np.uint64],
+        flat_mat: npt.NDArray[np.int64],
+        validate: bool = True,
     ) -> None:
-        """Bulk :meth:`add`: register many pairs in one pass.
+        """Bulk :meth:`add` from columnar arrays, in ``handles`` order.
 
-        Validates the whole batch (duplicates against live keys and within
-        the batch itself) before mutating anything, so a failed call leaves
-        the table untouched.
+        ``flat_mat`` is ``(num_arrays, n)`` of flat cell ids. With
+        ``validate`` (the default) a duplicate — within the batch or
+        against a live key — rejects the whole batch before anything is
+        registered.
         """
-        if not (len(keys) == len(values) == len(cells_list)):
-            raise ValueError("keys, values and cells_list must align")
-        live = self._values
-        seen: Set[int] = set()
-        for key in keys:
-            if key in live or key in seen:
-                raise KeyError(f"key {key!r} already recorded")
-            seen.add(key)
-        buckets = self._buckets
-        gens = self._gens
-        width = self.width
-        for key, value, cells in zip(keys, values, cells_list):
-            live[key] = value
-            self._cells[key] = cells
-            for j, t in cells:
-                flat = j * width + t
-                buckets[flat].add(key)
-                gens[flat] += 1
+        n = int(handles.size)
+        if n == 0:
+            return
+        if validate:
+            if np.unique(handles).size != n:
+                raise KeyError("duplicate key within batch")
+            hits = self.contains_batch(handles)
+            if bool(hits.any()):
+                offender = int(handles[int(np.argmax(hits))])
+                raise KeyError(f"key {offender!r} already recorded")
+        self._reserve(n)
+        start = self._n_rows
+        stop = start + n
+        self._keys[start:stop] = handles
+        self._vals[start:stop] = values
+        self._flats[:, start:stop] = flat_mat
+        self._alive[start:stop] = True
+        self._n_rows = stop
+        key_list = handles.tolist()
+        self._row.update(zip(key_list, range(start, stop)))
+        flat_rows = flat_mat.tolist()
+        self._row_flats.extend(zip(*flat_rows))
+        members = self.members
+        for flat_row in flat_rows:
+            for key, flat in zip(key_list, flat_row):
+                members[flat] += (key,)
 
     def remove(self, key: int) -> None:  # repro: hotpath
         """Forget a KV pair; its cells' counters drop by one (§IV-C Delete)."""
-        cells = self._cells.pop(key)
-        del self._values[key]
-        width = self.width
-        for j, t in cells:
-            flat = j * width + t
-            self._buckets[flat].discard(key)
-            self._gens[flat] += 1
+        row = self._row.pop(key)
+        self._alive[row] = False
+        members = self.members
+        for flat in self._row_flats[row]:
+            bucket = members[flat]
+            if len(bucket) == 1:
+                members[flat] = ()
+            else:
+                i = bucket.index(key)
+                members[flat] = bucket[:i] + bucket[i + 1:]
+        self._row_flats[row] = ()
 
     def set_value(self, key: int, value: int) -> None:
         """Record the new value for an existing key (cells are unchanged)."""
-        if key not in self._values:
+        row = self._row.get(key)
+        if row is None:
             raise KeyError(f"key {key!r} not recorded")
-        self._values[key] = value
-
-    def value(self, key: int) -> int:
-        """The stored value for ``key``."""
-        return self._values[key]
-
-    def cells(self, key: int) -> Tuple[Cell, ...]:
-        """The key's value-table cells, as computed at insert time."""
-        return self._cells[key]
-
-    def keys_at(self, cell: Cell) -> Set[int]:
-        """S_j[t]: the live set of keys hashed to ``cell``.
-
-        The returned set is the internal one; callers that mutate the table
-        while iterating must take a snapshot first (the repair walk does —
-        see :func:`repro.core.update._run_repair_walk`).
-        """
-        j, t = cell
-        return self._cell_keys[j][t]
-
-    def count_at(self, cell: Cell) -> int:
-        """C_j[t]: the number of keys hashed to ``cell``."""
-        j, t = cell
-        return len(self._cell_keys[j][t])
-
-    def generation(self, cell: Cell) -> int:
-        """The mutation counter of ``cell``'s bucket.
-
-        Bumped by every :meth:`add`/:meth:`remove` touching the bucket;
-        restarts from zero when :meth:`clear` bumps ``generation_epoch``.
-        """
-        j, t = cell
-        return self._gens[j * self.width + t]
-
-    @property
-    def generations(self) -> List[int]:
-        """The per-bucket counters as a flat list, indexed
-        ``array * width + index`` (the cost-cache hot path reads this)."""
-        return self._gens
-
-    def pairs(self) -> Iterator[Tuple[int, int]]:
-        """All live (key, value) pairs."""
-        return iter(self._values.items())
+        self._vals[row] = value
 
     def clear(self) -> None:
         """Drop every pair (used by reconstruction before re-inserting)."""
-        self._values.clear()
-        self._cells.clear()
-        for bucket in self._buckets:
-            bucket.clear()
-        self._gens = [0] * (self.num_arrays * self.width)
-        self.generation_epoch += 1
+        self._n_rows = 0
+        self._row.clear()
+        self._row_flats.clear()
+        self.members[:] = [()] * len(self.members)
+
+    def _reserve(self, extra: int) -> None:
+        """Room for ``extra`` appended rows.
+
+        A full column is rebuilt holding only the live rows, in order, with
+        room for ``max(2·live, live + extra)`` rows.
+        """
+        if self._n_rows + extra <= self._keys.size:
+            return
+        live = len(self._row)
+        rows = np.flatnonzero(self._alive[: self._n_rows])
+        capacity = max(_MIN_ROWS, 2 * live, live + extra)
+        keys = np.zeros(capacity, dtype=np.uint64)
+        vals = np.zeros(capacity, dtype=np.uint64)
+        flats = np.zeros((self.num_arrays, capacity), dtype=np.int64)
+        alive = np.zeros(capacity, dtype=bool)
+        keys[:live] = self._keys[rows]
+        vals[:live] = self._vals[rows]
+        flats[:, :live] = self._flats[:, rows]
+        alive[:live] = True
+        if live != self._n_rows:
+            row_flats = self._row_flats
+            self._row_flats = [row_flats[row] for row in rows.tolist()]
+            self._row.update(zip(keys[:live].tolist(), range(live)))
+        self._keys, self._vals, self._flats, self._alive = (
+            keys, vals, flats, alive
+        )
+        self._n_rows = live
+
+    # -- queries ---------------------------------------------------------
+
+    def value(self, key: int) -> int:
+        """The stored value for ``key``."""
+        value: int = self._vals.item(self._row[key])
+        return value
+
+    def cells(self, key: int) -> Tuple[Cell, ...]:
+        """The key's value-table cells ``((0, t0), (1, t1), ...)``, as
+        computed at insert time."""
+        width = self.width
+        return tuple([
+            (j, flat - j * width)
+            for j, flat in enumerate(self._row_flats[self._row[key]])
+        ])
+
+    def flats(self, key: int) -> Tuple[int, ...]:
+        """The key's cells as flat ids ``j·width + t``, one per array."""
+        return self._row_flats[self._row[key]]
+
+    def keys_at(self, cell: Cell) -> Tuple[int, ...]:
+        """S_j[t]: the keys hashed to ``cell`` (an immutable snapshot)."""
+        j, t = cell
+        return self.members[j * self.width + t]
+
+    def count_at(self, cell: Cell) -> int:  # repro: hotpath
+        """C_j[t]: the number of keys hashed to ``cell``."""
+        j, t = cell
+        return len(self.members[j * self.width + t])
+
+    def counts(self, flats: npt.NDArray[np.int64]) -> npt.NDArray[np.int64]:
+        """C_j[t] for every flat cell id in ``flats`` (same shape)."""
+        buckets = map(self.members.__getitem__, flats.ravel().tolist())
+        return np.fromiter(
+            map(len, buckets), dtype=np.int64, count=flats.size
+        ).reshape(flats.shape)
+
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """All live (key, value) pairs, in registration order."""
+        rows = np.flatnonzero(self._alive[: self._n_rows])
+        return zip(self._keys[rows].tolist(), self._vals[rows].tolist())
+
+    # -- rollback --------------------------------------------------------
+
+    def snapshot(self) -> Columns:
+        """A copy of the live columns, for :meth:`restore` or persistence."""
+        rows = np.flatnonzero(self._alive[: self._n_rows])
+        return Columns(
+            self._keys[rows], self._vals[rows], self._flats[:, rows]
+        )
+
+    def restore(self, columns: Columns) -> None:
+        """Rewind to a :meth:`snapshot`: clear, then re-register it."""
+        self.clear()
+        self.add_batch_arrays(
+            columns.keys, columns.values, columns.flats, validate=False
+        )
+
+    # -- diagnostics -----------------------------------------------------
 
     def check_consistency(self) -> None:
         """Assert the structural invariants; raises AssertionError if broken.
 
-        Used by tests: every key appears in exactly the buckets its cells
+        Used by tests: the columns, the key index and the per-row flat
+        cells agree, every key appears in exactly the buckets its cells
         name, and bucket membership contains no ghosts.
         """
-        seen = set()
-        for j, per_array in enumerate(self._cell_keys):
-            for t, bucket in enumerate(per_array):
-                for key in bucket:
-                    assert key in self._values, f"ghost key {key!r} at ({j},{t})"
-                    assert (j, t) in self._cells[key], (
-                        f"key {key!r} in bucket ({j},{t}) it does not hash to"
-                    )
-                    seen.add(key)
-        assert seen == set(self._values), "some keys are missing from buckets"
-        for key, cells in self._cells.items():
-            for cell in cells:
-                assert key in self.keys_at(cell), (
-                    f"key {key!r} absent from its bucket {cell}"
+        rows = np.flatnonzero(self._alive[: self._n_rows]).tolist()
+        assert len(rows) == len(self._row), "live count out of sync"
+        width = self.width
+        for row in rows:
+            key = int(self._keys[row])
+            assert self._row.get(key) == row, (
+                f"key index resolves {key!r} to the wrong row"
+            )
+            flats = self._row_flats[row]
+            assert list(flats) == self._flats[:, row].tolist(), (
+                f"cells of key {key!r} disagree with its flat-cell column"
+            )
+            for flat in flats:
+                assert key in self.members[flat], (
+                    f"key {key!r} absent from its bucket "
+                    f"{divmod(flat, width)}"
                 )
+        registered = 0
+        for flat, bucket in enumerate(self.members):
+            for key in bucket:
+                assert key in self._row, (
+                    f"ghost key {key!r} at {divmod(flat, width)}"
+                )
+            registered += len(bucket)
+        assert registered == self.num_arrays * len(rows), (
+            "some bucket holds a key its cells do not name"
+        )

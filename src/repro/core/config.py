@@ -77,21 +77,14 @@ class EmbedderConfig:
     auto_reconstruct:
         If False, update failures always surface as exceptions (used by the
         failure-frequency experiments to count without retrying forever).
-    cost_cache:
-        Memoise the vision strategy's GetCost subtrees, invalidated by the
-        assistant table's per-bucket generation counters. Semantically
-        transparent (a property test asserts cached ≡ uncached choices);
-        disable for ablations or to bound slow-space RAM strictly.
     backend:
-        Execution engine for the batched write/read paths
-        (:mod:`repro.core.engine`). ``"scalar"`` (default) keeps the
-        per-key walk loop; ``"vector"`` registers batches through the
-        array-native assistant and repairs them with the round-synchronous
+        How ``insert_batch`` schedules its repair walks
+        (:mod:`repro.core.engine`). ``"scalar"`` (default) walks key by
+        key; ``"vector"`` retires the batch with the round-synchronous
         multi-walk peel, falling back to the scalar walker only for keys
-        the peel cannot retire; ``"numba"`` is the vector engine with
-        jitted kernels when numba is importable, and silently degrades to
-        the plain vector engine otherwise. Single-key operations behave
-        identically (and bit-equally) under every backend.
+        the peel cannot retire. Both run over the same slow space, and
+        single-key operations behave identically (and bit-equally) under
+        either.
     """
 
     space_factor: float = 1.7
@@ -102,7 +95,6 @@ class EmbedderConfig:
     reconstruct_efficiency_limit: float = 0.6
     max_reconstruct_attempts: int = 20
     auto_reconstruct: bool = True
-    cost_cache: bool = True
     backend: str = "scalar"
 
     def __post_init__(self) -> None:
@@ -110,8 +102,8 @@ class EmbedderConfig:
             raise ValueError("space_factor must exceed 1.0 (need m > n)")
         if self.strategy not in ("vision", "simple"):
             raise ValueError("strategy must be 'vision' or 'simple'")
-        if self.backend not in ("scalar", "vector", "numba"):
-            raise ValueError("backend must be 'scalar', 'vector' or 'numba'")
+        if self.backend not in ("scalar", "vector"):
+            raise ValueError("backend must be 'scalar' or 'vector'")
         if self.max_repair_steps < 1:
             raise ValueError("max_repair_steps must be >= 1")
         if self.max_search_attempts < 1:

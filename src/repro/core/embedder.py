@@ -29,6 +29,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from repro.core.assistant_table import AssistantTable, Columns
 from repro.core.config import EmbedderConfig
 from repro.core.engine import make_engine
 from repro.core.packed_table import PackedValueTable
@@ -104,12 +105,10 @@ class VisionEmbedder(ValueOnlyTable):
         # tooling swaps in instrumented proxies via instrument_sync().
         table_class: Any = PackedValueTable if packed else ValueTable
         self._table = table_class(width, value_bits, num_arrays)
-        # The execution engine owns the batched write path and chooses the
-        # assistant implementation (AssistantTable for the scalar backend,
-        # ArrayAssistant for the vector/numba backends). Both are
-        # duck-compatible; single-key operations behave identically.
+        # The execution engine schedules insert_batch's repair walks; every
+        # engine runs against the one columnar slow space.
         self._engine = make_engine(self.config.backend)
-        self._assistant: Any = self._engine.make_assistant(width, num_arrays)
+        self._assistant = AssistantTable(width, num_arrays)
         self._seed = seed
         self._hashes = HashFamily(seed, [width] * num_arrays)
         self._stats = TableStats()
@@ -117,8 +116,6 @@ class VisionEmbedder(ValueOnlyTable):
             self.config.strategy,
             self.config.depth_policy,
             random.Random(seed ^ 0xA5A5A5A5),
-            use_cache=self.config.cost_cache,
-            stats=self._stats,
         )
         self._retry_rng = random.Random(seed ^ 0x0F0F0F0F)
         # Raw counter handles for the per-insert path: mutations are
@@ -394,9 +391,8 @@ class VisionEmbedder(ValueOnlyTable):
             # would only burn time and possibly bump the seed on a stall.
             return
         new_handles = keys_to_u64_batch([key for key, _ in pair_list])
-        new_keys = new_handles.tolist()
         new_values = [int(value) for _, value in pair_list]
-        if np.unique(new_handles).size != len(new_keys):
+        if np.unique(new_handles).size != len(new_values):
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(new_handles)
         if bool(hits.any()):
@@ -415,25 +411,12 @@ class VisionEmbedder(ValueOnlyTable):
             self._check_value(
                 new_values[int(np.argmax(new_value_arr > mask))]
             )
-        all_keys = [key for key, _ in self._assistant.pairs()]
-        all_values = [value for _, value in self._assistant.pairs()]
-        all_keys.extend(new_keys)
-        all_values.extend(new_values)
-        key_array = np.array(all_keys, dtype=np.uint64)
-        self._stats.note_batch(len(new_keys))
+        self._stats.note_batch(len(new_values))
         snapshot = self._snapshot_state()
+        _, _, live = snapshot
+        key_array = np.concatenate([live.keys, new_handles])
+        value_array = np.concatenate([live.values, new_value_arr])
         try:
-            if hasattr(self._engine, "bulk_load_arrays"):
-                # The vector engine peels directly over flat arrays,
-                # skipping the per-key cells-tuple materialisation
-                # entirely.
-                self._engine.bulk_load_arrays(
-                    self,
-                    key_array,
-                    np.array(all_values, dtype=np.uint64),
-                    len(new_keys),
-                )
-                return
             for _ in range(self.config.max_reconstruct_attempts):
                 self._table.clear()
                 self._assistant.clear()
@@ -443,12 +426,9 @@ class VisionEmbedder(ValueOnlyTable):
                     static_build_arrays(
                         self._table,
                         self._assistant,
-                        all_keys,
-                        all_values,
-                        [
-                            arr.tolist()
-                            for arr in self._hashes.indices_batch(key_array)
-                        ],
+                        key_array,
+                        value_array,
+                        self._hashes.indices_batch(key_array),
                         hooks=self._hooks,
                     )
                 except UpdateFailure:
@@ -457,7 +437,7 @@ class VisionEmbedder(ValueOnlyTable):
                     self._seed += 1
                     self._hashes = self._hashes.reseeded(self._seed)
                     continue
-                self._stats.updates += len(new_keys)
+                self._stats.updates += len(new_values)
                 return
             raise ReconstructionFailed(
                 f"static peel failed for "
@@ -546,13 +526,10 @@ class VisionEmbedder(ValueOnlyTable):
         """
         if method not in ("dynamic", "static"):
             raise ValueError("method must be 'dynamic' or 'static'")
-        keys: List[int] = []
-        values: List[int] = []
-        for key, value in self._assistant.pairs():
-            keys.append(key)
-            values.append(value)
-        key_array = np.array(keys, dtype=np.uint64)
         snapshot = self._snapshot_state()
+        _, _, live = snapshot
+        keys: List[int] = live.keys.tolist()
+        values: List[int] = live.values.tolist()
         started = time.perf_counter()
         self._in_reconstruct = True
         succeeded = False
@@ -565,17 +542,14 @@ class VisionEmbedder(ValueOnlyTable):
                 self._assistant.clear()
                 # Every reseed recomputes every key's cells in one
                 # vectorised pass instead of n×k scalar murmur calls.
-                index_cols = [
-                    arr.tolist()
-                    for arr in self._hashes.indices_batch(key_array)
-                ]
+                index_cols = self._hashes.indices_batch(live.keys)
                 if method == "static":
                     try:
                         static_build_arrays(
                             self._table,
                             self._assistant,
-                            keys,
-                            values,
+                            live.keys,
+                            live.values,
                             index_cols,
                             hooks=self._hooks,
                         )
@@ -583,7 +557,9 @@ class VisionEmbedder(ValueOnlyTable):
                         return
                     except UpdateFailure:
                         continue
-                elif self._try_rebuild(keys, values, index_cols):
+                elif self._try_rebuild(
+                    keys, values, [col.tolist() for col in index_cols]
+                ):
                     succeeded = True
                     return
             raise ReconstructionFailed(
@@ -643,41 +619,30 @@ class VisionEmbedder(ValueOnlyTable):
 
     def _snapshot_state(
         self,
-    ) -> Tuple[int, npt.NDArray[np.uint64], List[Tuple[int, int]]]:
-        """Capture ``(seed, dense cells, assistant pairs)`` for rollback.
+    ) -> Tuple[int, npt.NDArray[np.uint64], Columns]:
+        """Capture ``(seed, dense cells, live assistant columns)``.
 
         Everything bit-equality is judged on: the XOR planes as one dense
-        array, the registered pairs, and the hash seed (a reconstruction
-        mid-operation bumps it; rolling back must rewind it too).
+        array, the registered pairs with their cells, and the hash seed (a
+        reconstruction mid-operation bumps it; rolling back must rewind it
+        too). All three are array copies — no per-pair Python work.
         """
         return (
             self._seed,
             self._table.to_dense(),
-            list(self._assistant.pairs()),
+            self._assistant.snapshot(),
         )
 
     def _restore_state(
-        self,
-        snapshot: Tuple[int, npt.NDArray[np.uint64], List[Tuple[int, int]]],
+        self, snapshot: Tuple[int, npt.NDArray[np.uint64], Columns]
     ) -> None:
         """Rewind to a :meth:`_snapshot_state` snapshot bit-for-bit."""
-        seed, dense, pairs = snapshot
+        seed, dense, columns = snapshot
         if self._seed != seed:
             self._seed = seed
             self._hashes = self._hashes.reseeded(seed)
         self._table.load_dense(dense)
-        self._assistant.clear()
-        if pairs:
-            handles = np.array([key for key, _ in pairs], dtype=np.uint64)
-            index_cols = [
-                arr.tolist() for arr in self._hashes.indices_batch(handles)
-            ]
-            for i, (key, value) in enumerate(pairs):
-                self._assistant.add(
-                    key, value,
-                    tuple((j, index_cols[j][i])
-                          for j in range(self.num_arrays)),
-                )
+        self._assistant.restore(columns)
 
     # ------------------------------------------------------------------
     # Introspection used by tests
@@ -698,6 +663,5 @@ class VisionEmbedder(ValueOnlyTable):
         return (
             f"VisionEmbedder(n={len(self)}, m={self.num_cells}, "
             f"L={self._value_bits}, strategy={self.config.strategy!r}, "
-            f"cost_cache_hit_rate={stats.cost_cache_hit_rate:.2f}, "
             f"batches={stats.batch_inserts} (largest {stats.largest_batch}))"
         )

@@ -33,6 +33,7 @@ from repro.core.config import DepthPolicy, EmbedderConfig
 from repro.core.embedder import VisionEmbedder
 from repro.core.errors import CorruptSnapshotError
 from repro.core.sharded import ShardedEmbedder
+from repro.core.value_table import flat_cells
 
 _FORMAT_VERSION = 1
 _SHARDED_FORMAT_VERSION = 1
@@ -107,16 +108,7 @@ def save_embedder(table: VisionEmbedder, target: PathOrFile) -> None:
 
     ``target`` may be a path or a writable binary file object.
     """
-    keys = np.fromiter(
-        (key for key, _ in table._assistant.pairs()),
-        dtype=np.uint64,
-        count=len(table),
-    )
-    values = np.fromiter(
-        (value for _, value in table._assistant.pairs()),
-        dtype=np.uint64,
-        count=len(table),
-    )
+    live = table._assistant.snapshot()
     config = table.config
     meta = np.array(
         [
@@ -144,8 +136,8 @@ def save_embedder(table: VisionEmbedder, target: PathOrFile) -> None:
         meta=meta,
         float_meta=float_meta,
         cells=dense,
-        keys=keys,
-        values=values,
+        keys=live.keys,
+        values=live.values,
     )
 
 
@@ -215,18 +207,11 @@ def load_embedder(source: PathOrFile) -> VisionEmbedder:
     # re-derives below, so the verbatim restore cannot break the invariant.
     table._table.load_dense(cells.astype(np.uint64))  # repro: noqa[R101] -- persisted fast space restored verbatim
     # Recompute every key's cells in one vectorised pass and bulk-register.
-    num_arrays = table.num_arrays
     key_array = keys.astype(np.uint64)
-    index_cols = [
-        arr.tolist() for arr in table._hashes.indices_batch(key_array)
-    ]
-    table._assistant.add_batch(
-        key_array.tolist(),
-        values.astype(np.uint64).tolist(),
-        [
-            tuple((j, index_cols[j][i]) for j in range(num_arrays))
-            for i in range(len(keys))
-        ],
+    table._assistant.add_batch_arrays(
+        key_array,
+        values.astype(np.uint64),
+        flat_cells(table._table.width, table._hashes, key_array),
     )
     return table
 

@@ -379,9 +379,9 @@ class ShardedEmbedder(ValueOnlyTable):
         """Per-shard operational summary, one dict per shard.
 
         Includes the live key count, space efficiency, current seed, and
-        the failure/cache counters the sharded benchmark compares across
-        shards (reconstructions, repair steps, cost-cache hits, misses,
-        and invalidations).
+        the failure counters the sharded benchmark compares across shards
+        (reconstructions, update failures, repair steps). The cost-cache
+        columns always read 0 (GetCost has no memo cache).
         """
         out: List[Dict[str, float]] = []
         for index, shard in enumerate(self._shards):
@@ -396,7 +396,6 @@ class ShardedEmbedder(ValueOnlyTable):
                 "repair_steps": stats.repair_steps,
                 "cost_cache_hits": stats.cost_cache_hits,
                 "cost_cache_misses": stats.cost_cache_misses,
-                "cost_cache_invalidations": stats.cost_cache_invalidations,
             })
         return out
 

@@ -26,10 +26,6 @@ Two peeling engines coexist:
   implementation, kept as the executable specification; a property test
   asserts both engines peel exactly the same instances and produce tables
   satisfying every equation.
-
-:func:`static_build` keeps its historical signature and picks the flat
-engine whenever the supplied cells have the canonical one-cell-per-array
-shape, falling back to the reference engine otherwise.
 """
 
 from __future__ import annotations
@@ -243,7 +239,8 @@ def static_build_arrays(
 
     ``keys``/``values`` are the handles and values; ``index_cols[j][i]`` is
     key ``i``'s index into array ``j`` (one vectorised
-    ``HashFamily.indices_batch`` call produces exactly this shape). Raises
+    ``HashFamily.indices_batch`` call produces exactly this shape). The
+    pairs register in one columnar pass, in ``keys`` order. Raises
     :class:`UpdateFailure` if the peel stalls, leaving both structures
     untouched. ``hooks`` receives per-round ``on_peel_round`` events.
     """
@@ -255,46 +252,8 @@ def static_build_arrays(
     rounds = _peel_rounds(flat_mat, table.width, hooks)
     if rounds is None:
         raise UpdateFailure("static peel stalled (non-empty 2-core)")
-    assign_in_reverse_flat(table, rounds, flat_mat, values)
-    cells_list = list(zip(*(
-        [(j, t) for t in np.asarray(col).tolist()]
-        for j, col in enumerate(index_cols)
-    )))
-    assistant.add_batch(keys, values, cells_list)
-
-
-# ---------------------------------------------------------------------------
-# Historical entry point
-# ---------------------------------------------------------------------------
-
-
-def static_build(
-    table: ValueTable,
-    assistant: AssistantTable,
-    pairs: Iterable[Tuple[int, Tuple[Cell, ...], int]],
-) -> None:
-    """Populate an *empty* table/assistant statically from
-    ``(key, cells, value)`` triples.
-
-    Raises :class:`UpdateFailure` if the peel stalls (caller reseeds, as
-    for a dynamic failure). On success both structures hold every pair and
-    all equations are satisfied. Dispatches to the flat-array engine when
-    the cells have the canonical one-cell-per-array shape (which everything
-    VisionEmbedder produces does), and to the reference engine otherwise.
-    """
-    triples = list(pairs)
-    num_arrays = table.num_arrays
-    canonical = all(
-        len(cells) == num_arrays
-        and all(cells[j][0] == j for j in range(num_arrays))
-        for _, cells, _ in triples
+    value_arr = np.asarray(values, dtype=np.uint64)
+    assign_in_reverse_flat(table, rounds, flat_mat, value_arr)
+    assistant.add_batch_arrays(
+        np.asarray(keys, dtype=np.uint64), value_arr, flat_mat
     )
-    if not canonical:
-        static_build_reference(table, assistant, triples)
-        return
-    keys = [key for key, _, _ in triples]
-    values = [value for _, _, value in triples]
-    index_cols = [
-        [cells[j][1] for _, cells, _ in triples] for j in range(num_arrays)
-    ]
-    static_build_arrays(table, assistant, keys, values, index_cols)

@@ -2,7 +2,7 @@
 
 The experiment drivers read these to reproduce the paper's failure-frequency
 (Fig 4) and reconstruction-time-excluded throughput (Fig 6) results; the
-batch/cache counters track the vectorised write pipeline across PRs.
+batch counters track the vectorised write pipeline.
 
 Since the observability layer landed, :class:`TableStats` is a **thin view
 over a metrics registry** (:class:`repro.obs.registry.MetricsRegistry`):
@@ -11,8 +11,8 @@ for ``largest_batch``, a gauge), so ``table.stats.updates`` and the
 ``repro_updates_total`` sample of an exported registry are the same number
 by construction. The attribute API — ``stats.updates += 1``, keyword
 construction, ``snapshot()``, ``reset()`` — is unchanged; hot paths that
-bump a counter per memo probe hold the :class:`~repro.obs.registry.Counter`
-object directly (see ``VisionStrategy``) and pay exactly the old
+bump a counter per write hold the :class:`~repro.obs.registry.Counter`
+object directly (see ``VisionEmbedder``) and pay exactly the old
 attribute-increment cost.
 
 ``note_batch`` additionally feeds the ``repro_batch_size`` histogram, and
@@ -53,15 +53,11 @@ STAT_FIELDS = {
     ),
     "cost_cache_hits": (
         "repro_cost_cache_hits_total", "counter",
-        "GetCost memo subtrees revalidated from the cache", "",
+        "Always 0: GetCost has no memo cache; kept for existing readers", "",
     ),
     "cost_cache_misses": (
         "repro_cost_cache_misses_total", "counter",
-        "GetCost memo subtrees recomputed in full", "",
-    ),
-    "cost_cache_invalidations": (
-        "repro_cost_cache_invalidations_total", "counter",
-        "GetCost memo entries discarded on a bucket-generation mismatch", "",
+        "Always 0: GetCost has no memo cache; kept for existing readers", "",
     ),
     "batch_inserts": (
         "repro_batch_inserts_total", "counter",
@@ -96,12 +92,9 @@ class TableStats:
     reconstruct_seconds:
         Wall-clock time spent inside reconstruction, so throughput can be
         reported with and without it (Figs 5 vs 6).
-    cost_cache_hits / cost_cache_misses / cost_cache_invalidations:
-        GetCost memo traffic of the vision strategy (a "miss" is one
-        recomputed full-bucket subtree; hits revalidate via bucket
-        generation counters only; an invalidation is a memo entry found
-        stale — some dependent bucket's generation moved — and discarded,
-        so every invalidation also counts as a miss).
+    cost_cache_hits / cost_cache_misses:
+        Always 0. GetCost runs without a memo cache; the fields remain
+        only because existing benchmark readers still look them up.
     batch_inserts / batch_keys / largest_batch:
         Calls to the batched write path, total keys routed through it, and
         the biggest single batch seen.
@@ -126,14 +119,6 @@ class TableStats:
             "repro_batch_size", BATCH_SIZE_BUCKETS,
             help="Keys per batched write", unit="keys",
         )
-        # Derived gauge, not a STAT_FIELDS member: it is computed from the
-        # hit/miss counters on read (see cost_cache_hit_rate), so it never
-        # participates in snapshot()/__eq__ or keyword construction.
-        metrics["cost_cache_hit_rate_gauge"] = self._registry.gauge(
-            "repro_cost_cache_hit_rate",
-            "Fraction of GetCost subtree evaluations served from the cache "
-            "(refreshed when cost_cache_hit_rate is read)",
-        )
         for attr, value in initial.items():
             if attr not in STAT_FIELDS:
                 raise TypeError(
@@ -154,18 +139,6 @@ class TableStats:
         return self._metrics[attr]
 
     # -- legacy counter API ---------------------------------------------
-
-    @property
-    def cost_cache_hit_rate(self) -> float:
-        """Fraction of GetCost subtree evaluations served from the cache.
-
-        Reading the property also refreshes the ``repro_cost_cache_hit_rate``
-        gauge, so registry exports taken after a read carry the rate.
-        """
-        total = self.cost_cache_hits + self.cost_cache_misses
-        rate = self.cost_cache_hits / total if total else 0.0
-        self._metrics["cost_cache_hit_rate_gauge"].set(rate)
-        return rate
 
     def note_batch(self, size: int) -> None:
         """Record one batched write of ``size`` keys."""

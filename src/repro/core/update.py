@@ -37,7 +37,6 @@ full occupancy cannot overflow the Python recursion limit.
 from __future__ import annotations
 
 import random
-import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Set, Tuple
@@ -45,7 +44,6 @@ from typing import Callable, List, Optional, Set, Tuple
 from repro.core.assistant_table import AssistantTable
 from repro.core.config import DepthPolicy
 from repro.core.errors import UpdateFailure
-from repro.core.stats import TableStats
 from repro.core.value_table import ValueTable
 
 Cell = Tuple[int, int]
@@ -85,30 +83,6 @@ class SimpleStrategy(UpdateStrategy):
         return self._rng.choice(candidates)
 
 
-class _CostCache:
-    """Shared memo store for :class:`VisionStrategy` (and its retry twins).
-
-    ``entries`` maps ``(key, excluded_flat_cell, remaining_depth)`` to
-    ``(cost, dep_cells, dep_gens)``: the memoised subtree cost, the flat
-    ids (``array * width + index``) of every bucket the subtree read, and
-    the generation each of those buckets had at computation time. An entry
-    is trusted only while every dependent bucket's generation counter is
-    unchanged; the owner check (weakref + ``generation_epoch``) discards
-    everything when the assistant is swapped or cleared.
-    """
-
-    __slots__ = ("entries", "owner", "epoch")
-
-    # Hard bound on memo entries; the cache is cleared wholesale beyond it
-    # (entries are invalidated by writes anyway, so this only limits RAM).
-    MAX_ENTRIES = 1 << 20
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-        self.owner: Optional[weakref.ref] = None
-        self.epoch = -1
-
-
 class VisionStrategy(UpdateStrategy):
     """§IV-B: pick the candidate with the lowest GetCost estimate.
 
@@ -125,20 +99,9 @@ class VisionStrategy(UpdateStrategy):
 
     When the observability layer is enabled
     (:meth:`VisionEmbedder.set_hooks`), ``subtree_histogram`` receives the
-    number of buckets each recomputed subtree read — the GetCost-cost
-    distribution of §IV-C. It stays ``None`` (and costs one attribute test
-    per miss) otherwise.
-
-    With ``use_cache=True`` (the default) each bucket member's subtree
-    ``T(k, cell, r) = min_{c ∈ cells(k)∖{cell}} E(c, k, r−1)`` is memoised
-    per ``(key, excluded-cell, remaining-depth)`` — the unit every walk
-    re-evaluates when it looks at a bucket. Entries carry the generation
-    counters of every bucket their DFS read, which
-    ``AssistantTable.add``/``remove`` bump per touched bucket — so walks
-    over stable regions revalidate in a few integer compares instead of
-    re-running the subtree. Cache traffic is reported through ``stats``
-    (``cost_cache_hits``/``cost_cache_misses``/
-    ``cost_cache_invalidations``) when one is attached.
+    number of buckets each evaluated candidate's GetCost read — the
+    GetCost-cost distribution of §IV-C. It stays ``None`` (and costs one
+    identity test per bucket read) otherwise.
     """
 
     def __init__(
@@ -146,36 +109,16 @@ class VisionStrategy(UpdateStrategy):
         depth_policy: Optional[DepthPolicy] = None,
         rng: Optional[random.Random] = None,
         epsilon: float = 0.0,
-        use_cache: bool = True,
-        stats: Optional[TableStats] = None,
         shortcut: bool = True,
     ):
         self.depth_policy = depth_policy if depth_policy is not None else DepthPolicy()
         self._rng = rng
         self.epsilon = epsilon
-        self.use_cache = use_cache
         # ``shortcut`` skips the DFS when a candidate bucket holds only the
-        # repaired key (provably minimal cost); disable together with
-        # ``use_cache`` to time the unoptimised reference write path.
+        # repaired key (provably minimal cost); disable it to time the
+        # unoptimised reference write path.
         self.shortcut = shortcut
-        self._stats = stats
-        # Hot-path counter objects held directly: bumping
-        # ``counter.value`` costs what the old dataclass field did, and
-        # the registry export still sees every increment.
-        self._hits = (
-            stats.counter_for("cost_cache_hits") if stats is not None
-            else None
-        )
-        self._misses = (
-            stats.counter_for("cost_cache_misses") if stats is not None
-            else None
-        )
-        self._invalidations = (
-            stats.counter_for("cost_cache_invalidations")
-            if stats is not None else None
-        )
         self.subtree_histogram = None
-        self._cache = _CostCache()
 
     def choose(  # repro: hotpath
         self,
@@ -197,20 +140,18 @@ class VisionStrategy(UpdateStrategy):
             for cell in candidates:
                 if assistant.count_at(cell) <= 1:
                     return cell
-        max_depth = self.depth_policy.depth_for(space_efficiency)
-        if self.use_cache:
-            self._sync_cache(assistant)
-            remaining = max_depth - 1
-            width = assistant.width
+        remaining = self.depth_policy.depth_for(space_efficiency) - 1
+        width = assistant.width
+        histogram = self.subtree_histogram
 
-            def evaluate(cell: Cell) -> int:
-                return self._cost_excluding(cell[0] * width + cell[1],
-                                            from_key, remaining, assistant,
-                                            None)
-        else:
-
-            def evaluate(cell: Cell) -> int:
-                return self._get_cost(cell, from_key, 1, max_depth, assistant)
+        def evaluate(cell: Cell) -> int:
+            flat = cell[0] * width + cell[1]
+            if histogram is None:
+                return self._cost(flat, from_key, remaining, assistant, None)
+            reads: List[int] = []
+            cost = self._cost(flat, from_key, remaining, assistant, reads)
+            histogram.observe(len(reads))
+            return cost
 
         if self._rng is None and self.shortcut:
             # Every candidate bucket holds ≥ 2 keys here (the shortcut
@@ -241,153 +182,53 @@ class VisionStrategy(UpdateStrategy):
                 best_cell = cell
         return best_cell
 
-    # -- uncached reference recursion (also used when use_cache=False) ----
-
-    def _get_cost(
+    def _cost(  # repro: hotpath
         self,
-        cell: Cell,
-        from_key: int,
-        depth: int,
-        max_depth: int,
-        assistant: AssistantTable,
-    ) -> int:
-        if depth >= max_depth:
-            return assistant.count_at(cell)
-        cost = 1
-        for key in assistant.keys_at(cell):
-            if key == from_key:
-                continue
-            options = [c for c in assistant.cells(key) if c != cell]
-            cost += min(
-                self._get_cost(option, key, depth + 1, max_depth, assistant)
-                for option in options
-            )
-        return cost
-
-    # -- memoised recursion ------------------------------------------------
-
-    def _sync_cache(self, assistant: AssistantTable) -> None:
-        """Reset the memo store if it belongs to another/cleared assistant."""
-        cache = self._cache
-        owner = cache.owner() if cache.owner is not None else None
-        if owner is not assistant or cache.epoch != assistant.generation_epoch:
-            cache.entries.clear()
-            cache.owner = weakref.ref(assistant)
-            cache.epoch = assistant.generation_epoch
-        elif len(cache.entries) > _CostCache.MAX_ENTRIES:
-            cache.entries.clear()
-
-    def _cost_excluding(  # repro: hotpath
-        self,
-        flat_cell: int,
+        flat: int,
         from_key: int,
         remaining: int,
         assistant: AssistantTable,
-        out_deps: Optional[List[int]],
+        reads: Optional[List[int]],
     ) -> int:
-        """E(cell, from_key, remaining): the paper's GetCost.
+        """GetCost of modifying flat cell ``flat`` (``array·width + index``)
+        on behalf of ``from_key``, looking ``remaining`` levels deeper.
 
-        Identical recursion to :meth:`_get_cost`, but cells are flat bucket
-        ids (``array * width + index``) and each bucket member's
-        min-over-options subtree goes through the :meth:`_key_term` memo.
+        ``reads``, when given, collects every bucket the recursion reads.
         """
-        if out_deps is not None:
-            out_deps.append(flat_cell)
-        bucket = assistant._buckets[flat_cell]
+        if reads is not None:
+            reads.append(flat)
+        members = assistant.members
+        bucket = members[flat]
         if remaining <= 0:
             return len(bucket)
         cost = 1
-        key_term = self._key_term
         for key in bucket:
-            if key != from_key:
-                cost += key_term(key, flat_cell, remaining, assistant,
-                                 out_deps)
-        return cost
-
-    def _key_term(  # repro: hotpath
-        self,
-        key: int,
-        flat_cell: int,
-        remaining: int,
-        assistant: AssistantTable,
-        out_deps: Optional[List[int]],
-    ) -> int:
-        """Memoised ``min_{c ∈ cells(key)∖{cell}} E(c, key, remaining−1)``.
-
-        This is the unit of reuse: the same (key, excluded-cell) subtree is
-        re-evaluated every time any walk looks at the key's bucket. Entries
-        carry the flat ids and generations of every bucket their subtree
-        read and are trusted only while every generation still matches.
-        """
-        if remaining < 2:
-            # A depth-1 subtree is the min of two bucket lengths — cheaper
-            # to recompute than any memo lookup, validation, or store.
-            width = assistant.width
-            buckets = assistant._buckets
-            cost = -1
-            for j, t in assistant._cells[key]:
-                option = j * width + t
-                if option != flat_cell:
-                    if out_deps is not None:
-                        out_deps.append(option)
-                    term = len(buckets[option])
-                    if cost < 0 or term < cost:
-                        cost = term
-            return cost
-        entries = self._cache.entries
-        memo_key = (key, flat_cell, remaining)
-        entry = entries.get(memo_key)
-        if entry is not None:
-            gens = assistant._gens
-            dep_cells = entry[1]
-            for flat, gen in zip(dep_cells, entry[2]):
-                if gens[flat] != gen:
-                    if self._invalidations is not None:
-                        self._invalidations.value += 1
-                    break
-            else:
-                if self._hits is not None:
-                    self._hits.value += 1
-                if out_deps is not None:
-                    out_deps.extend(dep_cells)
-                return entry[0]
-        if self._misses is not None:
-            self._misses.value += 1
-        deps: List[int] = []
-        width = assistant.width
-        cost = -1
-        for j, t in assistant._cells[key]:
-            option = j * width + t
-            if option != flat_cell:
-                term = self._cost_excluding(option, key, remaining - 1,
-                                            assistant, deps)
-                if cost < 0 or term < cost:
-                    cost = term
-        gens = assistant._gens
-        dep_cells = tuple(set(deps))
-        entries[memo_key] = (
-            cost, dep_cells, tuple([gens[flat] for flat in dep_cells])
-        )
-        if self.subtree_histogram is not None:
-            self.subtree_histogram.observe(len(dep_cells))
-        if out_deps is not None:
-            out_deps.extend(deps)
+            if key == from_key:
+                continue
+            best = -1
+            for option in assistant.flats(key):
+                if option == flat:
+                    continue
+                if remaining > 1:
+                    term = self._cost(option, key, remaining - 1, assistant,
+                                      reads)
+                else:
+                    # The depth limit, read inline: C_j[t] of the option.
+                    if reads is not None:
+                        reads.append(option)
+                    term = len(members[option])
+                if best < 0 or term < best:
+                    best = term
+            cost += best
         return cost
 
     def retry_variant(self, attempt: int, rng: random.Random) -> "VisionStrategy":
-        """Randomised twin for retry ``attempt`` (ε grows with attempts).
-
-        The twin shares this strategy's cost-cache and stats sink, so
-        retries keep benefiting from (and warming) the same memo store.
-        """
+        """Randomised twin for retry ``attempt`` (ε grows with attempts)."""
         twin = VisionStrategy(
             self.depth_policy,
             rng=rng,
             epsilon=min(0.5, 0.1 + 0.05 * attempt),
-            use_cache=self.use_cache,
-            stats=self._stats,
         )
-        twin._cache = self._cache
         twin.subtree_histogram = self.subtree_histogram
         return twin
 
@@ -425,7 +266,7 @@ class UpdatePlan:
 
 
 def _run_repair_walk(  # repro: hotpath
-    check_consistent: Callable[[int], bool],
+    check_consistent: Callable[[int, Tuple[Cell, ...]], bool],
     modify: Callable[[Cell], None],
     assistant: AssistantTable,
     key: int,
@@ -447,8 +288,8 @@ def _run_repair_walk(  # repro: hotpath
     modification; when None — the default — tracing costs one identity
     test per kick and nothing else.
 
-    The walk never trusts the assistant's *live* bucket sets across its own
-    re-queues: ``keys_at`` is snapshotted before iterating, and a queued key
+    The walk never trusts the assistant's *live* buckets across its own
+    re-queues: ``keys_at`` returns an immutable tuple, and a queued key
     that has since been removed from the table (a strategy callback or a
     re-entrant delete can do that) is skipped instead of crashing on its
     missing bookkeeping.
@@ -462,18 +303,18 @@ def _run_repair_walk(  # repro: hotpath
             raise UpdateFailure(steps=steps)
         if current not in assistant:
             continue
-        if check_consistent(current):
-            continue
         cells = assistant.cells(current)
+        if check_consistent(current, cells):
+            continue
         candidates = [c for c in cells if c != fixed_cell]
         choice = strategy.choose(candidates, current, assistant,
                                  space_efficiency)
         modify(choice)
-        # Sorted snapshot: set iteration order is an implementation detail
-        # of the assistant (hash-set vs array-backed buckets), and the
-        # re-queue order steers every later pop. Sorting pins the walk to
-        # the key values alone, so scalar and vector backends replay
-        # bit-identical walks over identical table states.
+        # Sorted: a bucket lists its keys in registration order, which
+        # differs between a per-key and a peeled batch, and the re-queue
+        # order steers every later pop. Sorting pins the walk to the key
+        # values alone, so scalar and vector backends replay bit-identical
+        # walks over identical table states.
         for neighbour in sorted(assistant.keys_at(choice)):
             if neighbour != current:
                 stack.append((neighbour, choice))
@@ -511,8 +352,7 @@ def find_update_path(  # repro: hotpath
 
     path: Set[Cell] = set()
 
-    def check_consistent(current: int) -> bool:
-        cells = assistant.cells(current)
+    def check_consistent(current: int, cells: Tuple[Cell, ...]) -> bool:
         value = table.xor_sum(cells)
         toggled = sum(1 for cell in cells if cell in path)
         if toggled % 2:
@@ -607,10 +447,8 @@ def eager_update(
     if v_delta == 0:
         return 0
 
-    def check_consistent(current: int) -> bool:
-        return table.xor_sum(assistant.cells(current)) == assistant.value(
-            current
-        )
+    def check_consistent(current: int, cells: Tuple[Cell, ...]) -> bool:
+        return table.xor_sum(cells) == assistant.value(current)
 
     def modify(cell: Cell) -> None:
         table.xor(cell, v_delta)
@@ -625,16 +463,10 @@ def make_strategy(
     name: str,
     depth_policy: Optional[DepthPolicy] = None,
     rng: Optional[random.Random] = None,
-    use_cache: bool = True,
-    stats: Optional[TableStats] = None,
 ) -> UpdateStrategy:
-    """Build a strategy by config name (``"vision"`` or ``"simple"``).
-
-    ``use_cache`` enables the vision strategy's GetCost memoisation;
-    ``stats`` (a :class:`TableStats`) receives its hit/miss counters.
-    """
+    """Build a strategy by config name (``"vision"`` or ``"simple"``)."""
     if name == "vision":
-        return VisionStrategy(depth_policy, use_cache=use_cache, stats=stats)
+        return VisionStrategy(depth_policy)
     if name == "simple":
         return SimpleStrategy(rng)
     raise ValueError(f"unknown strategy {name!r}")

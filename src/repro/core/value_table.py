@@ -7,7 +7,8 @@ reports the bit count the hardware structure would occupy (3·w·L), which is
 what the paper's space figures measure, not Python object overhead.
 
 :func:`xor_lookup` and :func:`xor_lookup_batch` are the lookup itself
-(hash → gather → XOR), written once for every table over any plane storage.
+(hash → gather → XOR), written once for every table over any plane storage;
+:func:`flat_cells` is its hashing step, shared with the batched writes.
 """
 
 from __future__ import annotations
@@ -31,20 +32,29 @@ def xor_lookup(
     return result
 
 
+def flat_cells(
+    width: int, hashes: HashFamily, handles: npt.NDArray[np.uint64]
+) -> npt.NDArray[np.int64]:  # repro: hotpath
+    """The ``(num_arrays, k)`` matrix of flat cell ids ``j·width + t``
+    ``hashes`` selects for ``handles``: one hashing pass per array."""
+    flat_mat = np.stack(hashes.indices_batch(handles)).astype(np.int64)
+    offsets = np.arange(len(flat_mat), dtype=np.int64) * width
+    flat_mat += offsets[:, None]
+    return flat_mat
+
+
 def xor_lookup_batch(
     planes: Any, hashes: HashFamily, handles: npt.NDArray[np.uint64]
 ) -> npt.NDArray[np.uint64]:  # repro: hotpath
     """Vectorised :func:`xor_lookup` over a ``uint64`` handle array.
 
-    One hashing pass per array, one ``(num_arrays, k)`` matrix of flat
-    cell ids ``j·width + t``, and one ``planes.gather_xor`` — the only
-    batched read plane storage provides.
+    One :func:`flat_cells` matrix and one ``planes.gather_xor`` — the
+    only batched read plane storage provides.
     """
     handle_array = np.asarray(handles, dtype=np.uint64)
-    flat_mat = np.stack(hashes.indices_batch(handle_array)).astype(np.int64)
-    offsets = np.arange(len(flat_mat), dtype=np.int64) * planes.width
-    flat_mat += offsets[:, None]
-    result: npt.NDArray[np.uint64] = planes.gather_xor(flat_mat)
+    result: npt.NDArray[np.uint64] = planes.gather_xor(
+        flat_cells(planes.width, hashes, handle_array)
+    )
     return result
 
 

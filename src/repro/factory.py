@@ -68,7 +68,7 @@ def make_table(
     ``space_factor`` overrides the algorithm's default fast-space budget
     (cells per expected key); the space-cost experiments sweep it. For the
     vision family, ``backend=`` selects the execution engine
-    (``"scalar"``/``"vector"``/``"numba"``, see :mod:`repro.core.engine`).
+    (``"scalar"`` or ``"vector"``, see :mod:`repro.core.engine`).
     Additional keyword arguments pass through to the table's constructor.
     """
     if name == "vision":

@@ -86,8 +86,8 @@ class MetricsHooks(WalkHooks):
     - ``repro_kick_depth`` (histogram) — work-stack depth at each kick.
     - ``repro_reconstruct_duration_seconds`` (histogram) — wall time per
       ``reconstruct()`` call (§IV-C).
-    - ``repro_getcost_subtree_cells`` (histogram) — buckets read per
-      recomputed GetCost subtree; attach via
+    - ``repro_getcost_subtree_cells`` (histogram) — buckets read by the
+      GetCost of each evaluated candidate cell; attach via
       :meth:`VisionEmbedder.set_hooks`, which hands :attr:`subtree_histogram`
       to the vision strategy.
     - ``repro_walk_attempts_total`` / ``repro_walk_attempt_failures_total``
@@ -115,7 +115,7 @@ class MetricsHooks(WalkHooks):
         )
         self.subtree_histogram = reg.histogram(
             "repro_getcost_subtree_cells", SUBTREE_BUCKETS,
-            help="Buckets read per recomputed GetCost subtree",
+            help="Buckets read by one candidate cell's GetCost",
             unit="cells",
         )
         self.walk_attempts = reg.counter(

@@ -1,15 +1,15 @@
-"""The batched write pipeline: parity, peel engines, and the cost cache.
+"""The batched write pipeline: parity, peel engines, and GetCost.
 
 Covers the vectorised fast path end to end:
 
 - ``insert_batch`` must be walk-for-walk identical to sequential ``insert``
-  (bit-equal tables, same seed), packed and unpacked, with the cost cache
-  on or off — the optimisations are required to be semantically invisible.
+  (bit-equal tables, same seed), packed and unpacked, with the GetCost
+  shortcut on or off — the optimisations are required to be semantically
+  invisible.
 - The flat-array (numpy) peel must stall exactly when the dict-of-sets
   reference engine stalls and otherwise produce a valid peel order.
-- The GetCost cost cache must never change a decision, across arbitrary
-  interleavings of table mutations (generation invalidation) and clears
-  (epoch invalidation).
+- ``VisionStrategy.choose`` must pick the argmin of the textbook GetCost
+  recursion, across arbitrary interleavings of table mutations and clears.
 - The repair walk must survive keys being removed mid-walk (regression
   test for the ``keys_at`` mutation hazard).
 """
@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import EmbedderConfig, VisionEmbedder
+from repro.core import VisionEmbedder
 from repro.core.assistant_table import AssistantTable
+from repro.core.config import DepthPolicy
 from repro.core.errors import DuplicateKey, UpdateFailure
 from repro.core.static_build import (
     peel_order,
@@ -61,9 +62,7 @@ class TestInsertBatchParity:
 
     def test_cache_and_shortcut_are_transparent(self):
         keys, values = _workload(600, 10, seed=3)
-        reference = VisionEmbedder(
-            800, 10, seed=5, config=EmbedderConfig(cost_cache=False)
-        )
+        reference = VisionEmbedder(800, 10, seed=5)
         reference._strategy.shortcut = False
         reference.insert_batch(keys, values)
         default = VisionEmbedder(800, 10, seed=5)
@@ -241,7 +240,24 @@ class TestPeelEngineParity:
         assert peel_order_flat([[], [], []], 4) == []
 
 
-# -- cost cache -------------------------------------------------------------
+# -- GetCost ----------------------------------------------------------------
+
+
+def _get_cost(cell, from_key, depth, max_depth, assistant):
+    """Textbook GetCost (§IV-B, Algorithm 2) over ``(array, index)`` cells:
+    the oracle ``VisionStrategy``'s flat-id recursion must agree with."""
+    if depth >= max_depth:
+        return assistant.count_at(cell)
+    cost = 1
+    for key in assistant.keys_at(cell):
+        if key == from_key:
+            continue
+        options = [c for c in assistant.cells(key) if c != cell]
+        cost += min(
+            _get_cost(option, key, depth + 1, max_depth, assistant)
+            for option in options
+        )
+    return cost
 
 
 def _random_assistant(rng, width=12, n=40):
@@ -254,18 +270,27 @@ def _random_assistant(rng, width=12, n=40):
 
 class TestCostCache:
     def test_cached_choices_match_uncached_across_mutations(self):
+        """``choose`` (shortcut and early exit included) is the first
+        argmin of the textbook recursion at every depth, whatever the
+        mutations and clears in between."""
         rng = random.Random(42)
         assistant = _random_assistant(rng)
-        cached = VisionStrategy(use_cache=True)
-        uncached = VisionStrategy(use_cache=False)
+        strategy = VisionStrategy()
+        policy = DepthPolicy()
         for step in range(400):
             live = [key for key, _ in assistant.pairs()]
             key = rng.choice(live)
             candidates = list(assistant.cells(key))
             efficiency = rng.choice([0.1, 0.3, 0.5, 0.9])
-            assert cached.choose(candidates, key, assistant, efficiency) == \
-                uncached.choose(candidates, key, assistant, efficiency)
-            # Mutate so cached entries must be invalidated, not reused.
+            max_depth = policy.depth_for(efficiency)
+            costs = [
+                _get_cost(cell, key, 1, max_depth, assistant)
+                for cell in candidates
+            ]
+            expected = candidates[costs.index(min(costs))]
+            assert strategy.choose(
+                candidates, key, assistant, efficiency
+            ) == expected
             action = rng.random()
             if action < 0.30:
                 victim = rng.choice(live)
@@ -275,68 +300,13 @@ class TestCostCache:
                     tuple((j, rng.randrange(12)) for j in range(3)),
                 )
             elif action < 0.34:
-                # Epoch invalidation: same assistant object, new contents.
+                # Same assistant object, new contents.
                 assistant.clear()
                 for fresh in rng.sample(range(1, 10_000), 40):
                     assistant.add(
                         fresh, rng.getrandbits(8),
                         tuple((j, rng.randrange(12)) for j in range(3)),
                     )
-
-    def test_generation_counters_track_touched_buckets(self):
-        assistant = AssistantTable(8, 3)
-        cells = ((0, 1), (1, 2), (2, 3))
-        before = [assistant.generation(cell) for cell in cells]
-        assistant.add(5, 9, cells)
-        assert [assistant.generation(cell) for cell in cells] == \
-            [gen + 1 for gen in before]
-        assert assistant.generation((0, 0)) == 0
-        assistant.remove(5)
-        assert [assistant.generation(cell) for cell in cells] == \
-            [gen + 2 for gen in before]
-        epoch = assistant.generation_epoch
-        assistant.clear()
-        assert assistant.generation_epoch == epoch + 1
-        assert assistant.generation((0, 1)) == 0
-
-    def test_cache_stats_surface_in_repr(self):
-        keys, values = _workload(400, 8, seed=6)
-        table = VisionEmbedder(500, 8, seed=3)
-        table.insert_batch(keys, values)
-        stats = table.stats
-        assert stats.cost_cache_hits + stats.cost_cache_misses > 0
-        assert 0.0 <= stats.cost_cache_hit_rate <= 1.0
-        assert "cost_cache_hit_rate" in repr(table)
-        assert "largest 400" in repr(table)
-        off = VisionEmbedder(
-            500, 8, seed=3, config=EmbedderConfig(cost_cache=False)
-        )
-        off.insert_batch(keys, values)
-        assert off.stats.cost_cache_hits == 0
-        assert off.stats.cost_cache_misses == 0
-
-    def test_invalidation_counter_tracks_discarded_entries(self):
-        # Drive the table deep enough that repair walks revisit buckets
-        # whose generations moved: those memo probes must be counted as
-        # invalidations, and every invalidation is also a miss.
-        keys, values = _workload(400, 8, seed=6)
-        table = VisionEmbedder(440, 8, seed=3)
-        table.insert_batch(keys, values)
-        stats = table.stats
-        assert stats.cost_cache_invalidations > 0
-        assert stats.cost_cache_invalidations <= stats.cost_cache_misses
-        # The metric is exported through the registry under its public name.
-        registry_value = stats.registry.counter(
-            "repro_cost_cache_invalidations_total",
-            "GetCost memo entries discarded on a bucket-generation mismatch",
-            "",
-        ).value
-        assert registry_value == stats.cost_cache_invalidations
-        off = VisionEmbedder(
-            440, 8, seed=3, config=EmbedderConfig(cost_cache=False)
-        )
-        off.insert_batch(keys, values)
-        assert off.stats.cost_cache_invalidations == 0
 
 
 # -- repair-walk mutation hazard -------------------------------------------

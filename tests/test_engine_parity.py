@@ -1,4 +1,4 @@
-"""Array-native engine: backend parity, ArrayAssistant behaviour, kernels.
+"""Array-native engine: backend parity, the columnar slow space, kernels.
 
 The contract under test (docs/architecture.md "Execution engines"):
 
@@ -8,13 +8,13 @@ The contract under test (docs/architecture.md "Execution engines"):
   per-key Python loops. Parity is walk for walk: bit-equal value tables
   and equal stats counters after arbitrary mixed sequences.
 - Single-key operations (insert/update/delete) are bit-identical across
-  backends: repair walks depend only on the assistant's structure, which
-  both assistant implementations expose identically.
+  backends: repair walks depend only on the assistant's structure, and
+  every backend runs over the same assistant.
 - ``bulk_load`` is bit-identical across backends (same peel rounds, same
   reverse-round assignment).
-- :class:`~repro.core.engine.ArrayAssistant` is behaviourally equivalent
-  to :class:`~repro.core.assistant_table.AssistantTable` under random
-  operation interleavings.
+- The columnar :class:`~repro.core.assistant_table.AssistantTable`
+  matches a plain dict-of-sets model of §III under random operation
+  interleavings.
 """
 
 import random
@@ -23,12 +23,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    HAVE_NUMBA,
-    ArrayAssistant,
     AssistantTable,
     DuplicateKey,
     EmbedderConfig,
-    NumbaEngine,
     ReferenceVectorEngine,
     ScalarEngine,
     SpaceExhausted,
@@ -182,7 +179,7 @@ class TestVectorReferenceParity:
 
 
 class TestCrossBackendSingleKeyOps:
-    @pytest.mark.parametrize("backend", ["vector", "numba"])
+    @pytest.mark.parametrize("backend", ["vector"])
     def test_single_key_sequences_bit_equal(self, backend):
         """insert/update/delete walk-for-walk identical to the scalar
         backend: trajectories depend only on assistant structure."""
@@ -330,13 +327,33 @@ class TestPeelRoundsMasked:
         assert rounds == []
 
 
+class _ModelAssistant:
+    """§III as written: one set of keys per cell, plus key → (value, cells)."""
+
+    def __init__(self):
+        self.buckets = {}
+        self.pairs = {}
+
+    def add(self, key, value, cells):
+        assert key not in self.pairs
+        self.pairs[key] = (value, cells)
+        for cell in cells:
+            self.buckets.setdefault(cell, set()).add(key)
+
+    def remove(self, key):
+        _, cells = self.pairs.pop(key)
+        for cell in cells:
+            self.buckets[cell].discard(key)
+
+
 class TestArrayAssistantBehaviour:
     def test_random_interleaving_matches_assistant_table(self):
+        """Single adds, batch adds, removes and value changes, with enough
+        churn that the columns compact several times."""
         width, num_arrays = 37, 3
-        reference = AssistantTable(width, num_arrays)
-        candidate = ArrayAssistant(width, num_arrays)
+        model = _ModelAssistant()
+        candidate = AssistantTable(width, num_arrays)
         rng = random.Random(99)
-        live = {}
         next_key = iter(range(1, 100_000))
 
         def random_cells():
@@ -344,66 +361,66 @@ class TestArrayAssistantBehaviour:
                 (j, rng.randrange(width)) for j in range(num_arrays)
             )
 
-        for step in range(600):
+        for step in range(1500):
             op = rng.random()
-            if op < 0.45 or not live:
+            if op < 0.35 or not model.pairs:
                 key = next(next_key)
                 value = rng.getrandbits(16)
                 cells = random_cells()
-                reference.add(key, value, cells)
+                model.add(key, value, cells)
                 candidate.add(key, value, cells)
-                live[key] = cells
-            elif op < 0.60:
+            elif op < 0.45:
                 size = rng.randrange(1, 9)
                 keys = [next(next_key) for _ in range(size)]
                 values = [rng.getrandbits(16) for _ in keys]
                 cells_list = [random_cells() for _ in keys]
-                reference.add_batch(keys, values, cells_list)
-                candidate.add_batch(keys, values, cells_list)
-                live.update(zip(keys, cells_list))
+                for key, value, cells in zip(keys, values, cells_list):
+                    model.add(key, value, cells)
+                candidate.add_batch_arrays(
+                    np.array(keys, dtype=np.uint64),
+                    np.array(values, dtype=np.uint64),
+                    np.array(
+                        [[j * width + t for j, t in cells]
+                         for cells in cells_list],
+                        dtype=np.int64,
+                    ).T,
+                )
             elif op < 0.80:
-                key = rng.choice(list(live))
-                del live[key]
-                reference.remove(key)
+                key = rng.choice(list(model.pairs))
+                model.remove(key)
                 candidate.remove(key)
             else:
-                key = rng.choice(list(live))
+                key = rng.choice(list(model.pairs))
                 value = rng.getrandbits(16)
-                reference.set_value(key, value)
+                model.pairs[key] = (value, model.pairs[key][1])
                 candidate.set_value(key, value)
 
-            assert len(reference) == len(candidate)
-            probe = rng.choice(list(live)) if live else 1
-            assert (probe in reference) == (probe in candidate)
-            if live:
-                assert reference.value(probe) == candidate.value(probe)
-                assert reference.cells(probe) == candidate.cells(probe)
+            assert len(model.pairs) == len(candidate)
+            probe = rng.choice(list(model.pairs)) if model.pairs else 1
+            assert (probe in model.pairs) == (probe in candidate)
+            if model.pairs:
+                value, cells = model.pairs[probe]
+                assert candidate.value(probe) == value
+                assert candidate.cells(probe) == cells
             cell = (rng.randrange(num_arrays), rng.randrange(width))
-            assert reference.count_at(cell) == candidate.count_at(cell)
-            assert (
-                sorted(reference.keys_at(cell))
-                == list(candidate.keys_at(cell))
-            )
-            assert (
-                reference.generation(cell) == candidate.generation(cell)
-            )
-        assert dict(reference.pairs()) == dict(candidate.pairs())
+            members = model.buckets.get(cell, set())
+            assert candidate.count_at(cell) == len(members)
+            assert set(candidate.keys_at(cell)) == members
+        assert list(candidate.pairs()) == [
+            (key, value) for key, (value, _) in model.pairs.items()
+        ]
         candidate.check_consistency()
-        reference.check_consistency()
         probes = np.array(
-            [*list(live)[:5], 0, 999_999_999], dtype=np.uint64
+            [*list(model.pairs)[:5], 0, 999_999_999], dtype=np.uint64
         )
-        assert (
-            reference.contains_batch(probes).tolist()
-            == candidate.contains_batch(probes).tolist()
-        )
+        assert candidate.contains_batch(probes).tolist() == [
+            int(key) in model.pairs for key in probes
+        ]
 
     def test_clear_resets_and_bumps_epoch(self):
-        assistant = ArrayAssistant(11, 3)
+        assistant = AssistantTable(11, 3)
         assistant.add(5, 7, ((0, 1), (1, 2), (2, 3)))
-        epoch = assistant.generation_epoch
         assistant.clear()
-        assert assistant.generation_epoch == epoch + 1
         assert len(assistant) == 0
         assert assistant.count_at((0, 1)) == 0
         assert assistant.keys_at((0, 1)) == ()
@@ -411,40 +428,22 @@ class TestArrayAssistantBehaviour:
         assert assistant.value(5) == 9
 
     def test_add_batch_rejects_atomically(self):
-        assistant = ArrayAssistant(11, 3)
+        assistant = AssistantTable(11, 3)
         assistant.add(5, 7, ((0, 1), (1, 2), (2, 3)))
+        flats = np.array([[0, 1], [11, 12], [22, 23]], dtype=np.int64)
         with pytest.raises(KeyError):
-            assistant.add_batch(
-                [6, 5], [1, 1],
-                [((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1))],
+            assistant.add_batch_arrays(
+                np.array([6, 5], dtype=np.uint64),
+                np.array([1, 1], dtype=np.uint64), flats,
             )
         with pytest.raises(KeyError):
-            assistant.add_batch(
-                [7, 7], [1, 1],
-                [((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1), (2, 1))],
+            assistant.add_batch_arrays(
+                np.array([7, 7], dtype=np.uint64),
+                np.array([1, 1], dtype=np.uint64), flats,
             )
         assert len(assistant) == 1
         assert 6 not in assistant
         assistant.check_consistency()
-
-    def test_index_overlay_rebuild_threshold(self):
-        from repro.core import engine as engine_module
-
-        assistant = ArrayAssistant(64, 3)
-        old = engine_module._INDEX_REBUILD_THRESHOLD
-        engine_module._INDEX_REBUILD_THRESHOLD = 8
-        try:
-            for key in range(1, 30):
-                assistant.add(
-                    key, key,
-                    tuple((j, (key * (j + 1)) % 64) for j in range(3)),
-                )
-            for key in range(1, 30):
-                assert key in assistant
-                assert assistant.value(key) == key
-            assistant.check_consistency()
-        finally:
-            engine_module._INDEX_REBUILD_THRESHOLD = old
 
 
 class TestKernels:
@@ -546,20 +545,8 @@ class TestBackendSelection:
     def test_make_engine_names(self):
         assert isinstance(make_engine("scalar"), ScalarEngine)
         assert isinstance(make_engine("vector"), VectorEngine)
-        assert isinstance(make_engine("numba"), NumbaEngine)
         with pytest.raises(ValueError):
             make_engine("cuda")
-
-    def test_numba_backend_degrades_gracefully(self):
-        """backend='numba' must work whether or not numba is installed."""
-        engine = make_engine("numba")
-        assert engine.jitted is HAVE_NUMBA
-        table = VisionEmbedder(
-            100, 8, seed=1, config=EmbedderConfig(backend="numba")
-        )
-        table.insert_batch([1, 2, 3], [4, 5, 6])
-        table.check_invariants()
-        assert table.lookup(2) == 5
 
     def test_sharded_shards_inherit_backend(self):
         sharded = make_table(
@@ -567,4 +554,4 @@ class TestBackendSelection:
         )
         for shard in sharded.shards:
             assert isinstance(shard._engine, VectorEngine)
-            assert isinstance(shard._assistant, ArrayAssistant)
+            assert isinstance(shard._assistant, AssistantTable)

@@ -350,7 +350,3 @@ class TestMetrics:
         assert all(0 < row["space_efficiency"] <= 1 for row in rows)
         total_misses = sum(row["cost_cache_misses"] for row in rows)
         assert total_misses == table.stats.cost_cache_misses
-        assert all(
-            row["cost_cache_invalidations"] <= row["cost_cache_misses"]
-            for row in rows
-        )

@@ -58,13 +58,6 @@ class TestTableStats:
         assert stats.largest_batch == 10
         assert stats.registry.get("repro_batch_size").count == 2
 
-    def test_cost_cache_hit_rate(self):
-        stats = TableStats()
-        assert stats.cost_cache_hit_rate == 0.0
-        stats.cost_cache_hits = 3
-        stats.cost_cache_misses = 1
-        assert stats.cost_cache_hit_rate == pytest.approx(0.75)
-
     def test_counter_for_hot_path_handles(self):
         stats = TableStats()
         handle = stats.counter_for("cost_cache_hits")

@@ -53,9 +53,10 @@ class TestGetCost:
         assistant.add(1, 0, ((0, 3), (1, 0), (2, 0)))
         assistant.add(2, 0, ((0, 3), (1, 1), (2, 1)))
         strategy = VisionStrategy(DepthPolicy(fixed=1))
-        # depth >= max_depth immediately: cost is C_j[t].
-        assert strategy._get_cost((0, 3), 99, 1, 1, assistant) == 2
-        assert strategy._get_cost((1, 0), 99, 1, 1, assistant) == 1
+        # No levels left to look ahead: cost is C_j[t]. Cells are flat
+        # ids array * width + index.
+        assert strategy._cost(0 * 8 + 3, 99, 0, assistant, None) == 2
+        assert strategy._cost(1 * 8 + 0, 99, 0, assistant, None) == 1
 
     def test_deeper_cost_counts_forced_repairs(self):
         assistant = AssistantTable(width=8)
@@ -66,7 +67,7 @@ class TestGetCost:
         strategy = VisionStrategy(DepthPolicy(fixed=2))
         # Modifying (0,0) for key 1 forces repairing key 2 through one of
         # its free cells (cost C=1 each at the depth limit): total 1 + 1.
-        cost = strategy._get_cost((0, 0), 1, 1, 2, assistant)
+        cost = strategy._cost(0, 1, 1, assistant, None)
         assert cost == 2
 
     def test_choose_prefers_empty_cell(self):
