@@ -62,7 +62,6 @@ class CheckConfig:
         "repro/core/update.py",
         "repro/core/static_build.py",
         "repro/core/embedder.py",
-        "repro/core/engine.py",
         "repro/core/sharded.py",
         "repro/core/shared_planes.py",
     )
@@ -158,7 +157,7 @@ class CheckConfig:
         "from_pairs",
     )
     #: modules that own plane storage and may mutate views of it in place
-    #: (R701). Narrower than :attr:`value_table_writers`: update/engine/
+    #: (R701). Narrower than :attr:`value_table_writers`: update and
     #: sharded go through the table's mutation API, they do not alias its
     #: planes.
     plane_writer_modules: Tuple[str, ...] = (

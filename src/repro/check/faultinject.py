@@ -46,7 +46,6 @@ from multiprocessing import shared_memory
 from types import FrameType
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type
 
-from repro.core.config import EmbedderConfig
 from repro.core.embedder import VisionEmbedder
 from repro.core.shared_planes import (
     SEGMENT_PREFIX,
@@ -417,16 +416,12 @@ def report_json(outcomes: List[InjectionOutcome]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Canned cases: the three atomic pillars, on both execution backends
+# Canned cases: the three atomic pillars, plus the shared-plane lifecycle
 # ---------------------------------------------------------------------------
 
 
-def _seeded_table(
-    backend: str, prefill: int, capacity: int = 96
-) -> VisionEmbedder:
-    table = VisionEmbedder(
-        capacity, 16, config=EmbedderConfig(backend=backend), seed=7
-    )
+def _seeded_table(prefill: int) -> VisionEmbedder:
+    table = VisionEmbedder(96, 16, seed=7)
     for i in range(prefill):
         table.insert(i + 1, (i * 31 + 5) % 65536)
     return table
@@ -438,34 +433,34 @@ def _batch_payload(count: int) -> Tuple[List[int], List[int]]:
     return keys, values
 
 
-def _insert_batch_case(backend: str) -> FaultCase:
+def _insert_batch_case() -> FaultCase:
     def operate(table: VisionEmbedder) -> None:
         keys, values = _batch_payload(16)
         table.insert_batch(keys, values)
 
     return FaultCase(
-        name=f"insert_batch-{backend}",
-        build=lambda: _seeded_table(backend, prefill=24),
+        name="insert_batch-scalar",
+        build=lambda: _seeded_table(prefill=24),
         operate=operate,
     )
 
 
-def _bulk_load_case(backend: str) -> FaultCase:
+def _bulk_load_case() -> FaultCase:
     def operate(table: VisionEmbedder) -> None:
         keys, values = _batch_payload(24)
         table.bulk_load(list(zip(keys, values)))
 
     return FaultCase(
-        name=f"bulk_load-{backend}",
-        build=lambda: _seeded_table(backend, prefill=8),
+        name="bulk_load-scalar",
+        build=lambda: _seeded_table(prefill=8),
         operate=operate,
     )
 
 
-def _reconstruct_case(backend: str) -> FaultCase:
+def _reconstruct_case() -> FaultCase:
     return FaultCase(
-        name=f"reconstruct-{backend}",
-        build=lambda: _seeded_table(backend, prefill=24),
+        name="reconstruct-scalar",
+        build=lambda: _seeded_table(prefill=24),
         operate=lambda table: table.reconstruct("dynamic"),
     )
 
@@ -499,22 +494,19 @@ def _shared_planes_case() -> FaultCase:
 
     return FaultCase(
         name="shared_planes-scalar",
-        build=lambda: _seeded_table("scalar", prefill=24),
+        build=lambda: _seeded_table(prefill=24),
         operate=operate,
     )
 
 
 def default_cases() -> List[FaultCase]:
-    """The canned sweep: batch insert, bulk load, and reconstruct, on
-    the scalar and vector backends (reconstruct runs scalar only — its
-    rebuild is backend-independent re-insertion), plus the shared-memory
-    plane lifecycle (promote, reader reads, insert-through-shared,
-    demote)."""
+    """The canned sweep: batch insert, bulk load, and reconstruct, plus
+    the shared-memory plane lifecycle (promote, reader reads,
+    insert-through-shared, demote). The ``-scalar`` suffix names the one
+    write engine every case runs (:mod:`repro.core.engine`)."""
     return [
-        _insert_batch_case("scalar"),
-        _insert_batch_case("vector"),
-        _bulk_load_case("scalar"),
-        _bulk_load_case("vector"),
-        _reconstruct_case("scalar"),
+        _insert_batch_case(),
+        _bulk_load_case(),
+        _reconstruct_case(),
         _shared_planes_case(),
     ]

@@ -1,6 +1,6 @@
 """R7xx — numpy aliasing and dtype contracts.
 
-The engine backend (PR 6) trades safety for speed by handing out *views*
+The batched plane kernels trade safety for speed by working on *views*
 of the value-table planes (``_cells``/``_words``) instead of copies. A
 view is an alias: mutate it anywhere and you have mutated the table,
 bypassing the XOR bookkeeping that R101/R5xx guard on the sanctioned

@@ -25,13 +25,6 @@ from repro.core.shared_planes import (
     unshare_table,
 )
 from repro.core.assistant_table import AssistantTable
-from repro.core.engine import (
-    ExecutionEngine,
-    ReferenceVectorEngine,
-    ScalarEngine,
-    VectorEngine,
-    make_engine,
-)
 from repro.core.embedder import VisionEmbedder
 from repro.core.concurrent import ConcurrentVisionEmbedder
 from repro.core.sharded import ShardedEmbedder
@@ -64,11 +57,6 @@ __all__ = [
     "share_table",
     "unshare_table",
     "AssistantTable",
-    "ExecutionEngine",
-    "ScalarEngine",
-    "VectorEngine",
-    "ReferenceVectorEngine",
-    "make_engine",
     "VisionEmbedder",
     "ConcurrentVisionEmbedder",
     "ShardedEmbedder",

@@ -244,13 +244,6 @@ class AssistantTable:
         j, t = cell
         return len(self.members[j * self.width + t])
 
-    def counts(self, flats: npt.NDArray[np.int64]) -> npt.NDArray[np.int64]:
-        """C_j[t] for every flat cell id in ``flats`` (same shape)."""
-        buckets = map(self.members.__getitem__, flats.ravel().tolist())
-        return np.fromiter(
-            map(len, buckets), dtype=np.int64, count=flats.size
-        ).reshape(flats.shape)
-
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """All live (key, value) pairs, in registration order."""
         rows = np.flatnonzero(self._alive[: self._n_rows])

@@ -77,14 +77,6 @@ class EmbedderConfig:
     auto_reconstruct:
         If False, update failures always surface as exceptions (used by the
         failure-frequency experiments to count without retrying forever).
-    backend:
-        How ``insert_batch`` schedules its repair walks
-        (:mod:`repro.core.engine`). ``"scalar"`` (default) walks key by
-        key; ``"vector"`` retires the batch with the round-synchronous
-        multi-walk peel, falling back to the scalar walker only for keys
-        the peel cannot retire. Both run over the same slow space, and
-        single-key operations behave identically (and bit-equally) under
-        either.
     """
 
     space_factor: float = 1.7
@@ -95,15 +87,12 @@ class EmbedderConfig:
     reconstruct_efficiency_limit: float = 0.6
     max_reconstruct_attempts: int = 20
     auto_reconstruct: bool = True
-    backend: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.space_factor <= 1.0:
             raise ValueError("space_factor must exceed 1.0 (need m > n)")
         if self.strategy not in ("vision", "simple"):
             raise ValueError("strategy must be 'vision' or 'simple'")
-        if self.backend not in ("scalar", "vector"):
-            raise ValueError("backend must be 'scalar' or 'vector'")
         if self.max_repair_steps < 1:
             raise ValueError("max_repair_steps must be >= 1")
         if self.max_search_attempts < 1:

@@ -31,7 +31,7 @@ import numpy.typing as npt
 
 from repro.core.assistant_table import AssistantTable, Columns
 from repro.core.config import EmbedderConfig
-from repro.core.engine import make_engine
+from repro.core.engine import ScalarEngine
 from repro.core.packed_table import PackedValueTable
 from repro.core.errors import (
     DuplicateKey,
@@ -121,9 +121,8 @@ class VisionEmbedder(ValueOnlyTable):
             table_class: Any = PackedValueTable if packed else ValueTable
             planes = table_class(width, value_bits, num_arrays)
         self._table = planes
-        # The execution engine schedules insert_batch's repair walks; every
-        # engine runs against the one columnar slow space.
-        self._engine = make_engine(self.config.backend)
+        # The write engine runs insert_batch's per-key repair walks.
+        self._engine = ScalarEngine()
         self._assistant = AssistantTable(width, num_arrays)
         self._seed = seed
         self._hashes = HashFamily(seed, [width] * num_arrays)
@@ -251,12 +250,9 @@ class VisionEmbedder(ValueOnlyTable):
         before anything is registered — a rejected batch leaves the table
         untouched.
 
-        How the walks run depends on ``config.backend``: the scalar engine
-        repairs key by key, walk-for-walk identical to sequential
-        :meth:`insert` calls (a property test asserts bit-equal tables);
-        the vector engine retires every peelable key through the
-        round-synchronous multi-walk repair and falls back to the scalar
-        walker only for the rest (see :mod:`repro.core.engine`).
+        The write engine (:mod:`repro.core.engine`) then repairs the
+        batch key by key, walk-for-walk identical to sequential
+        :meth:`insert` calls (a property test asserts bit-equal tables).
 
         If a mid-batch failure triggers reconstruction, the new seed's
         cells for the *remaining* keys are recomputed in one further
@@ -266,8 +262,10 @@ class VisionEmbedder(ValueOnlyTable):
         bit-for-bit to its pre-batch state (cells, assistant entries, and
         hash seed) before the exception propagates.
         """
-        key_list = list(keys)
-        handles = keys_to_u64_batch(key_list)
+        # An array goes to canonicalisation whole: a list of its numpy
+        # scalars would miss the one-pass conversion and go key by key.
+        key_seq: Any = keys if isinstance(keys, np.ndarray) else list(keys)
+        handles = keys_to_u64_batch(key_seq)
         n = len(handles)
         value_list = [int(v) for v in values]
         if len(value_list) != n:
@@ -278,10 +276,10 @@ class VisionEmbedder(ValueOnlyTable):
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(handles)
         if bool(hits.any()):
-            offender = int(np.argmax(hits))
-            raise DuplicateKey(
-                f"key {key_list[offender]!r} already inserted"
-            )
+            offender = key_seq[int(np.argmax(hits))]
+            if isinstance(offender, np.generic):
+                offender = offender.item()
+            raise DuplicateKey(f"key {offender!r} already inserted")
         try:
             value_arr = np.asarray(value_list, dtype=np.uint64)
         except (OverflowError, ValueError):

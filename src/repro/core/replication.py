@@ -53,16 +53,12 @@ class SnapshotMessage:
 
     @classmethod
     def of(cls, seed: int, table) -> "SnapshotMessage":
-        if hasattr(table, "to_dense"):
-            dense = table.to_dense()
-        else:
-            dense = table._cells
         return cls(
             seed=seed,
             width=table.width,
             value_bits=table.value_bits,
             num_arrays=table.num_arrays,
-            cells=np.asarray(dense).astype("<u8").tobytes(),
+            cells=table.to_dense().astype("<u8").tobytes(),
         )
 
 
@@ -127,7 +123,12 @@ class PublishingVisionEmbedder(VisionEmbedder):
             super().update(key, value)
 
     def _capture_writes(self):
-        """Context manager publishing every cell XOR the operation applies."""
+        """Context manager publishing every cell XOR the operation applies.
+
+        A write that raises has rolled the table back, ``insert_batch``
+        through a dense restore that no cell XOR shows, so the replicas
+        resync from a snapshot of the restored table.
+        """
         publisher = self
 
         class _Capture:
@@ -143,11 +144,15 @@ class PublishingVisionEmbedder(VisionEmbedder):
                 publisher._table.xor = publishing_xor
                 return self
 
-            def __exit__(self, *exc):
+            def __exit__(self, exc_type, *exc):
                 # Remove the instance attribute so the class method shows
                 # through again.
                 del publisher._table.xor
                 del publisher._original_xor
+                if exc_type is not None:
+                    publisher._publish(
+                        SnapshotMessage.of(publisher.seed, publisher._table)
+                    )
                 return False
 
         return _Capture()
@@ -206,8 +211,7 @@ class DataPlaneReplica:
         """Bit-exact comparison with a publisher's fast space (tests)."""
         if self._table is None:
             return False
-        theirs = embedder._table
-        if hasattr(theirs, "to_dense"):
-            # Packed publisher: compare against its dense projection.
-            return bool(np.array_equal(self._table._cells, theirs.to_dense()))
-        return self._table == theirs
+        # Dense projection: the publisher's planes may be packed.
+        return bool(
+            np.array_equal(self._table._cells, embedder._table.to_dense())
+        )

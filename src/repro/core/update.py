@@ -310,11 +310,11 @@ def _run_repair_walk(  # repro: hotpath
         choice = strategy.choose(candidates, current, assistant,
                                  space_efficiency)
         modify(choice)
-        # Sorted: a bucket lists its keys in registration order, which
-        # differs between a per-key and a peeled batch, and the re-queue
-        # order steers every later pop. Sorting pins the walk to the key
-        # values alone, so scalar and vector backends replay bit-identical
-        # walks over identical table states.
+        # Sorted: a bucket lists its keys in registration order, and the
+        # re-queue order steers every later pop. bulk_load, restore and
+        # snapshot loading register keys in column order, not insert
+        # order, so sorting pins the walk to the key values alone: equal
+        # table states replay bit-identical walks however they were built.
         for neighbour in sorted(assistant.keys_at(choice)):
             if neighbour != current:
                 stack.append((neighbour, choice))

@@ -39,16 +39,13 @@ TABLE_NAMES = ("vision", "bloomier", "othello", "color", "ludo")
 def _vision_config(kwargs: dict, space_factor: Optional[float]) -> EmbedderConfig:
     """Assemble the EmbedderConfig for the vision-family tables.
 
-    ``backend`` rides as a first-class factory kwarg (the benchmark
-    harness sweeps it like ``space_factor``); anything else configurable
-    goes through ``config_kwargs`` or a pre-built ``config``.
+    ``space_factor`` rides as a first-class factory kwarg (the space-cost
+    experiments sweep it); anything else configurable goes through
+    ``config_kwargs`` or a pre-built ``config``.
     """
     config_kwargs = dict(kwargs.pop("config_kwargs", {}))
     if space_factor is not None:
         config_kwargs["space_factor"] = space_factor
-    backend = kwargs.pop("backend", None)
-    if backend is not None:
-        config_kwargs["backend"] = backend
     config = kwargs.pop("config", None)
     if config is None:
         config = EmbedderConfig(**config_kwargs)
@@ -66,9 +63,7 @@ def make_table(
     """Build a value-only table by algorithm name.
 
     ``space_factor`` overrides the algorithm's default fast-space budget
-    (cells per expected key); the space-cost experiments sweep it. For the
-    vision family, ``backend=`` selects the execution engine
-    (``"scalar"`` or ``"vector"``, see :mod:`repro.core.engine`).
+    (cells per expected key); the space-cost experiments sweep it.
     Additional keyword arguments pass through to the table's constructor.
     """
     if name == "vision":

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.core import EmbedderConfig, VisionEmbedder
+from repro.core import VisionEmbedder
 from repro.core.assistant_table import AssistantTable
 
 
@@ -110,13 +110,10 @@ class TestLifecycle:
 
 
 class TestColumns:
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_rows_stay_bounded_under_churn(self, backend):
+    def test_rows_stay_bounded_under_churn(self):
         """Removed rows are reclaimed: steady insert/delete churn must not
         grow the columns past 2x the live count (plus the initial room)."""
-        table = VisionEmbedder(
-            2000, 8, seed=3, config=EmbedderConfig(backend=backend)
-        )
+        table = VisionEmbedder(2000, 8, seed=3)
         live = list(range(1, 1001))
         table.insert_batch(live, [key % 256 for key in live])
         for key in range(1001, 11_001):

@@ -60,6 +60,39 @@ class TestInsertBatchParity:
         for key, value in zip(keys, values):
             assert batched.lookup(key) == value
 
+    def test_u64_array_canonicalises_without_per_key_calls(
+        self, monkeypatch
+    ):
+        """A ``uint64`` key array reaches the handle array in one pass,
+        and builds the table the same keys as a list build."""
+        import repro.hashing.family as family
+
+        calls = []
+        per_key = family.key_to_u64
+
+        def counting_key_to_u64(key):
+            calls.append(key)
+            return per_key(key)
+
+        monkeypatch.setattr(family, "key_to_u64", counting_key_to_u64)
+        keys, values = _workload(1000, 12, seed=4)
+        from_array = VisionEmbedder(1200, 12, seed=3)
+        from_array.insert_batch(np.array(keys, dtype=np.uint64), values)
+        assert calls == []
+        from_list = VisionEmbedder(1200, 12, seed=3)
+        from_list.insert_batch(keys, values)
+        assert from_array.seed == from_list.seed
+        assert np.array_equal(_dense(from_array), _dense(from_list))
+        with pytest.raises(DuplicateKey, match=rf"^key {keys[0]} already"):
+            from_array.insert_batch(
+                np.array([keys[0]], dtype=np.uint64), [1]
+            )
+        with pytest.raises(DuplicateKey, match=rf"^key {keys[0]} already"):
+            from_list.insert_batch([keys[0]], [1])
+        from_list.insert_batch(["alpha", b"beta"], [1, 2])
+        assert len(calls) == 2  # non-int keys still go key by key
+        assert from_list.lookup("alpha") == 1
+
     def test_cache_and_shortcut_are_transparent(self):
         keys, values = _workload(600, 10, seed=3)
         reference = VisionEmbedder(800, 10, seed=5)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import EmbedderConfig, SpaceExhausted
 from repro.core.replication import (
     DataPlaneReplica,
     PublishingVisionEmbedder,
@@ -89,6 +90,25 @@ class TestReplicaConsistency:
         replica = DataPlaneReplica()
         publisher.subscribe(replica.apply)  # snapshot carries full state
         assert replica.state_equals(publisher)
+
+    def test_rolled_back_batch_resyncs_via_snapshot(self):
+        """A batch that raises publishes the XORs of its walked prefix,
+        then restores the table densely; the replica must follow the
+        restore, not keep the prefix."""
+        publisher = PublishingVisionEmbedder(
+            30, 8, seed=1,
+            config=EmbedderConfig(reconstruct_efficiency_limit=0.3),
+        )
+        replica = DataPlaneReplica()
+        publisher.subscribe(replica.apply)
+        baseline = publisher._table.copy()
+        pairs = _pairs(40, 8, 2)
+        with pytest.raises(SpaceExhausted):
+            publisher.insert_batch(list(pairs), list(pairs.values()))
+        assert replica.messages_applied > 0  # the prefix was published
+        assert publisher._table == baseline
+        assert replica.state_equals(publisher)
+        assert replica.snapshots_applied >= 2
 
     def test_two_replicas_identical(self):
         publisher = PublishingVisionEmbedder(200, 4, seed=6)

@@ -153,6 +153,27 @@ class TestParallelBuild:
             assert a.seed == b.seed
             assert np.array_equal(a._table.to_dense(), b._table.to_dense())
 
+    @pytest.mark.parametrize("write", ["insert_batch", "build"])
+    def test_batch_matches_per_key_inserts(self, write):
+        """Shard for shard, a dynamic batch is the per-key inserts in
+        arrival order: same seeds, plane bytes and walk counters."""
+        pairs = _pairs(3000, 12, seed=21)
+        per_key = ShardedEmbedder(3600, 12, num_shards=4, seed=6)
+        for key, value in pairs:
+            per_key.insert(key, value)
+        batched = ShardedEmbedder(3600, 12, num_shards=4, seed=6)
+        if write == "insert_batch":
+            batched.insert_batch(
+                [key for key, _ in pairs], [value for _, value in pairs]
+            )
+        else:
+            batched.build(pairs, method="dynamic")
+        for a, b in zip(per_key.shards, batched.shards):
+            assert a.seed == b.seed
+            assert a._table.to_dense().tobytes() == b._table.to_dense().tobytes()
+            assert a.stats.updates == b.stats.updates
+            assert a.stats.repair_steps == b.stats.repair_steps
+
     def test_static_build_peels_every_shard(self):
         pairs = _pairs(800, 10, seed=7)
         table = ShardedEmbedder(1000, 10, num_shards=8, seed=3)
