@@ -110,7 +110,8 @@ class CheckConfig:
     #: does not treat them as raw write-machinery escapes.
     public_mutation_api: Tuple[str, ...] = (
         "insert", "update", "delete", "insert_batch", "insert_many",
-        "bulk_load", "reconstruct", "from_pairs",
+        "bulk_load", "reconstruct", "from_pairs", "update_batch",
+        "delete_batch",
     )
     #: functions sanctioned to apply per-cell writes in a loop (R503):
     #: the deferred-plan applier (all cells XOR one fixed V_delta) and the
@@ -144,9 +145,8 @@ class CheckConfig:
     serve_table_executors: Tuple[str, ...] = (
         "TableServer._execute_batch",
         "TableServer._run_lookups",
-        "TableServer._run_inserts",
-        "TableServer._insert_pairs",
-        "TableServer._run_scalar_writes",
+        "TableServer._run_writes",
+        "TableServer._write_per_key",
         "WorkerPool._apply_write",
     )
     #: the table's data-plane API (R604 judges method *calls*; attribute
@@ -154,7 +154,7 @@ class CheckConfig:
     table_data_api: Tuple[str, ...] = (
         "lookup", "lookup_many", "lookup_batch", "insert", "insert_batch",
         "insert_many", "update", "delete", "bulk_load", "reconstruct",
-        "from_pairs",
+        "from_pairs", "update_batch", "delete_batch",
     )
     #: modules that own plane storage and may mutate views of it in place
     #: (R701). Narrower than :attr:`value_table_writers`: update and
@@ -193,13 +193,15 @@ class CheckConfig:
     #: the table methods the serve layer invokes on behalf of the wire.
     serve_wire_methods: Tuple[str, ...] = (
         "insert", "insert_batch", "update", "delete", "lookup_many",
+        "update_batch", "delete_batch",
     )
     #: call names an exception handler / finally block may use to roll a
     #: partially-applied mutation back (R803) — assistant rollbacks plus
-    #: the table-level restore paths.
+    #: the table-level restore paths, the write-journal undo
+    #: (``_rollback``) and the before-image writer (``write_back``).
     atomic_rollbacks: Tuple[str, ...] = (
         "remove", "set_value", "clear", "_restore_state", "load_dense",
-        "restore", "xor",
+        "restore", "xor", "_rollback", "write_back",
     )
     #: dotted callee names that acquire an OS resource needing close()
     #: (R804). An entry matches the exact callee or its last attribute

@@ -12,11 +12,12 @@ After each injected run the harness asserts the two halves of the strong
 exception guarantee, and that the fault leaked no resource:
 
 - **consistency** — :meth:`VisionEmbedder.check_invariants` still holds
-  (``A1 ^ A2 ^ A3`` answers every live key);
-- **bit-equality** — the table state (seed, dense cell planes, sorted
-  assistant pairs) equals either the pre-operation snapshot (the fault
-  rolled back) or the no-fault reference result (the fault landed after
-  the commit point). Anything else is a torn state;
+  (``A1 ^ A2 ^ A3`` answers every live key); an invariant check that
+  cannot even run on the torn state counts as broken too;
+- **bit-equality** — the table state (per shard: seed, dense cell
+  planes, sorted assistant pairs) equals either the pre-operation
+  snapshot (the fault rolled back) or the no-fault reference result (the
+  fault landed after the commit point). Anything else is a torn state;
 - **no leaked segment** — no shared-memory plane segment the run
   created is still linked (names carry the creator's pid).
 
@@ -44,9 +45,23 @@ import sys
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from types import FrameType
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    Union,
+    cast,
+)
 
+from repro.core.config import EmbedderConfig
 from repro.core.embedder import VisionEmbedder
+from repro.core.errors import SpaceExhausted
+from repro.core.sharded import ShardedEmbedder
 from repro.core.shared_planes import (
     SEGMENT_PREFIX,
     SharedPlanes,
@@ -73,6 +88,9 @@ _SCOPE_MARKER = "/repro/core/"
 _SITE_ID_RE = re.compile(
     r"^(?P<file>.+):(?P<line>\d+)#(?P<occurrence>\d+)$"
 )
+
+#: the tables a fault case tortures.
+Table = Union[VisionEmbedder, ShardedEmbedder]
 
 #: the two faults a healthy process actually meets mid-operation.
 _FAULT_TYPES: Tuple[Type[BaseException], Type[BaseException]] = (
@@ -175,8 +193,8 @@ class FaultCase:
     """
 
     name: str
-    build: Callable[[], VisionEmbedder]
-    operate: Callable[[VisionEmbedder], None]
+    build: Callable[[], Table]
+    operate: Callable[[Table], None]
 
 
 @dataclass
@@ -221,15 +239,20 @@ class InjectionOutcome:
         }
 
 
-Fingerprint = Tuple[int, bytes, Tuple[Tuple[int, int], ...]]
+Fingerprint = Tuple[Tuple[int, bytes, Tuple[Tuple[int, int], ...]], ...]
 
 
-def _fingerprint(table: VisionEmbedder) -> Fingerprint:
-    """Bit-exact table identity: seed, dense cell planes, live pairs."""
-    return (
-        table.seed,
-        table._table.to_dense().tobytes(),
-        tuple(sorted(table._assistant.pairs())),
+def _fingerprint(table: Table) -> Fingerprint:
+    """Bit-exact table identity, shard by shard (an unsharded table is
+    its own one shard): seed, dense cell planes, live pairs."""
+    shards = table.shards if isinstance(table, ShardedEmbedder) else (table,)
+    return tuple(
+        (
+            shard.seed,
+            shard._table.to_dense().tobytes(),
+            tuple(sorted(shard._assistant.pairs())),
+        )
+        for shard in shards
     )
 
 
@@ -319,9 +342,11 @@ def _run_injection(
     try:
         table.check_invariants()
         consistent = True
-    except AssertionError as exc:
+    except Exception as exc:
+        # A torn index can make the check itself fail (an IndexError from
+        # a short row list): that is a broken invariant too.
         consistent = False
-        broken = f"invariant broken: {exc}"
+        broken = f"invariant broken: {type(exc).__name__}: {exc}"
         detail = f"{detail}; {broken}" if detail else broken
     if fired and not raised:
         note = "injected fault was swallowed inside the operation"
@@ -416,7 +441,8 @@ def report_json(outcomes: List[InjectionOutcome]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Canned cases: the three atomic pillars, plus the shared-plane lifecycle
+# Canned cases: every public write, single-key and batched, unsharded and
+# across shards, plus the shared-plane lifecycle
 # ---------------------------------------------------------------------------
 
 
@@ -433,8 +459,28 @@ def _batch_payload(count: int) -> Tuple[List[int], List[int]]:
     return keys, values
 
 
+def _scalar_cases() -> List[FaultCase]:
+    """One single-key insert, update and delete: each must leave the
+    pre- or post-operation state on its own, with no batch journal."""
+
+    def insert(table: Table) -> None:
+        table.insert(5000, 4321)
+
+    def update(table: Table) -> None:
+        table.update(5, 4321)
+
+    def delete(table: Table) -> None:
+        table.delete(5)
+
+    return [
+        FaultCase(name=f"{op.__name__}-scalar",
+                  build=lambda: _seeded_table(prefill=24), operate=op)
+        for op in (insert, update, delete)
+    ]
+
+
 def _insert_batch_case() -> FaultCase:
-    def operate(table: VisionEmbedder) -> None:
+    def operate(table: Table) -> None:
         keys, values = _batch_payload(16)
         table.insert_batch(keys, values)
 
@@ -445,8 +491,121 @@ def _insert_batch_case() -> FaultCase:
     )
 
 
+def _update_batch_case() -> FaultCase:
+    def operate(table: Table) -> None:
+        keys = list(range(3, 19, 2))
+        table.update_batch(keys, [(k * 977 + 3) % 65536 for k in keys])
+
+    return FaultCase(
+        name="update_batch-scalar",
+        build=lambda: _seeded_table(prefill=24),
+        operate=operate,
+    )
+
+
+def _delete_batch_case() -> FaultCase:
+    return FaultCase(
+        name="delete_batch-scalar",
+        build=lambda: _seeded_table(prefill=24),
+        operate=lambda table: table.delete_batch(list(range(2, 24, 3))),
+    )
+
+
+def _reconstructing_batch_case() -> FaultCase:
+    """An ``insert_batch`` whose fourth walk fails and reconstructs the
+    table, after which the batch completes: a fault before the rebuild
+    undoes from the journal's cell images, one after it from the
+    journal's base (the snapshot the reconstruction took).
+
+    One repair step per walk (no retries) makes the walk fail whenever
+    the new key has no cell of its own, at a load where the rebuild
+    still succeeds.
+    """
+    config = EmbedderConfig(max_repair_steps=1, max_search_attempts=1)
+
+    def build() -> Table:
+        table = VisionEmbedder(32, 16, seed=10, config=config)
+        table.bulk_load([(i + 1, (i * 31 + 5) % 65536) for i in range(6)])
+        return table
+
+    def operate(table: Table) -> None:
+        keys, values = _batch_payload(6)
+        table.insert_batch(keys, values)
+
+    return FaultCase(
+        name="insert_batch-reconstructing", build=build, operate=operate
+    )
+
+
+#: One repair step per walk and no reconstruction: a write into the
+#: densely loaded shard 1 fails with SpaceExhausted as soon as its key
+#: has no cell of its own, deterministically.
+_STRICT = EmbedderConfig(
+    max_repair_steps=1, max_search_attempts=1, auto_reconstruct=False
+)
+
+
+def _shard_keys(
+    table: Table, shard: int, start: int, count: int
+) -> List[int]:
+    """The first ``count`` keys from ``start`` on that route to ``shard``
+    of the sharded ``table``."""
+    sharded = cast(ShardedEmbedder, table)
+    keys: List[int] = []
+    key = start
+    while len(keys) < count:
+        if sharded.shard_of(key) == shard:
+            keys.append(key)
+        key += 1
+    return keys
+
+
+def _sharded_table() -> ShardedEmbedder:
+    """Two shards, bulk-loaded: shard 0 sparse (6 keys), shard 1 dense
+    (40 keys in its 84 cells)."""
+    table = ShardedEmbedder(48, 16, num_shards=2, seed=3, config=_STRICT)
+    keys = _shard_keys(table, 0, 1, 6) + _shard_keys(table, 1, 1, 40)
+    table.bulk_load([(key, (key * 31 + 5) % 65536) for key in keys])
+    return table
+
+
+def _sharded_cases() -> List[FaultCase]:
+    """Batches spanning both shards, shard 0 written first. The insert
+    and update batches run out of space in shard 1, the last touched
+    shard, after shard 0 and part of shard 1 are written: the reference
+    run itself rolls both shards back, so every fault — in either shard's
+    walks or in the undo — must leave the pre-operation state. The
+    delete batch succeeds."""
+
+    def insert_batch(table: Table) -> None:
+        keys = (_shard_keys(table, 0, 1000, 3)
+                + _shard_keys(table, 1, 1000, 3))
+        try:
+            table.insert_batch(keys, [7] * len(keys))
+        except SpaceExhausted:
+            pass
+
+    def update_batch(table: Table) -> None:
+        keys = _shard_keys(table, 0, 1, 2) + _shard_keys(table, 1, 1, 7)
+        try:
+            table.update_batch(keys, [9] * len(keys))
+        except SpaceExhausted:
+            pass
+
+    def delete_batch(table: Table) -> None:
+        table.delete_batch(
+            _shard_keys(table, 0, 1, 3) + _shard_keys(table, 1, 1, 3)
+        )
+
+    return [
+        FaultCase(name=f"{op.__name__}-sharded", build=_sharded_table,
+                  operate=op)
+        for op in (insert_batch, update_batch, delete_batch)
+    ]
+
+
 def _bulk_load_case() -> FaultCase:
-    def operate(table: VisionEmbedder) -> None:
+    def operate(table: Table) -> None:
         keys, values = _batch_payload(24)
         table.bulk_load(list(zip(keys, values)))
 
@@ -478,7 +637,7 @@ def _shared_planes_case() -> FaultCase:
     fault may leave a segment linked.
     """
 
-    def operate(table: VisionEmbedder) -> None:
+    def operate(table: Table) -> None:
         spec = share_table(table)
         try:
             reader = SharedPlanes.attach(spec.planes)
@@ -500,12 +659,20 @@ def _shared_planes_case() -> FaultCase:
 
 
 def default_cases() -> List[FaultCase]:
-    """The canned sweep: batch insert, bulk load, and reconstruct, plus
+    """The canned sweep: single-key insert, update and delete; batch
+    insert (also across a mid-batch reconstruction), update and delete;
+    the three batches across two shards; bulk load and reconstruct; and
     the shared-memory plane lifecycle (promote, reader reads,
-    insert-through-shared, demote). The ``-scalar`` suffix names the one
-    write engine every case runs (:mod:`repro.core.engine`)."""
+    insert-through-shared, demote). The suffix names the table: one
+    unsharded table (``-scalar``, after the one write engine every case
+    runs, :mod:`repro.core.engine`) or two shards (``-sharded``)."""
     return [
+        *_scalar_cases(),
         _insert_batch_case(),
+        _reconstructing_batch_case(),
+        _update_batch_case(),
+        _delete_batch_case(),
+        *_sharded_cases(),
         _bulk_load_case(),
         _reconstruct_case(),
         _shared_planes_case(),

@@ -9,8 +9,8 @@ updates, deletion, and reconstruction.
 Storage is columnar, one row per registered pair in registration order:
 ``uint64`` keys and values, an ``(num_arrays, rows)`` matrix of flat cell
 ids ``j·width + t``, and an alive mask. Batches register in a few numpy
-passes (:meth:`AssistantTable.add_batch_arrays`), and a rollback snapshot
-is a copy of the live columns (:meth:`AssistantTable.snapshot`).
+passes (:meth:`AssistantTable.add_batch_arrays`), and a whole-table
+snapshot is a copy of the live columns (:meth:`AssistantTable.snapshot`).
 
 Beside the columns sits the index the §IV repair walk reads, built from
 plain Python containers so a walk step costs dict and tuple operations,
@@ -30,11 +30,18 @@ before it grows — dead rows dropped, registration order kept — so under
 insert/delete churn it holds at most ``max(2·live, live + batch)`` rows,
 and :meth:`AssistantTable.pairs` stays in registration order (which
 :meth:`~repro.core.embedder.VisionEmbedder.reconstruct` re-inserts in).
+
+Each single mutation leaves the pre- or the post-operation state: an
+interrupted :meth:`~AssistantTable.add` or :meth:`~AssistantTable.remove`
+takes back what it had done before re-raising. A multi-key write passes
+a :class:`Journal`: ``add``, ``remove`` and ``set_value`` record their
+first before-images there, and :meth:`AssistantTable.undo` writes the
+whole write's slow-space part back in O(batch).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -52,6 +59,45 @@ class Columns(NamedTuple):
     values: npt.NDArray[np.uint64]
     #: ``(num_arrays, n)`` flat cell ids ``j·width + t``.
     flats: npt.NDArray[np.int64]
+
+
+class Journal:
+    """Before-images of one multi-key write, for an O(batch) undo.
+
+    Every plane write is §IV-B's deferred update, one ``V_delta`` XORed
+    along a path, so a write is undone by writing back the old values it
+    overwrote — each item's *first* old value, recorded before the item
+    changes. Writing an old value back is idempotent, so a fault between
+    the record and the write still undoes exactly.
+
+    The slow space records its part (bucket tuples, appended keys,
+    removed rows, stored values) and :meth:`AssistantTable.undo` writes
+    it back; ``UpdatePlan.apply`` records plane cells into :attr:`cells`.
+    A reconstruction mid-write rebuilds the whole table, so it cannot be
+    undone item by item: it takes an O(table) snapshot, which becomes the
+    journal's :attr:`base` (see ``VisionEmbedder._rollback``).
+    """
+
+    __slots__ = ("rows", "cells", "buckets", "added", "removed", "values",
+                 "base")
+
+    def __init__(self, rows: int) -> None:
+        #: Rows the table held when the journal opened (appends go after).
+        self.rows = rows
+        #: ``(array, index)`` cell -> its old value.
+        self.cells: Dict[Tuple[int, int], int] = {}
+        #: Flat cell id -> its old bucket tuple.
+        self.buckets: Dict[int, Tuple[int, ...]] = {}
+        #: Keys appended, in order.
+        self.added: List[int] = []
+        #: ``(key, row, flats)`` of every removed pair.
+        self.removed: List[Tuple[int, int, Tuple[int, ...]]] = []
+        #: Key -> its old stored value.
+        self.values: Dict[int, int] = {}
+        #: ``(snapshot, cells, added, values)`` once a rebuild ran: the
+        #: table before it, and what the write had recorded until then.
+        self.base: Optional[Tuple[Any, Dict[Tuple[int, int], int],
+                                  List[int], Dict[int, int]]] = None
 
 
 class AssistantTable:
@@ -96,7 +142,13 @@ class AssistantTable:
 
     # -- mutation --------------------------------------------------------
 
-    def add(self, key: int, value: int, cells: Tuple[Cell, ...]) -> None:  # repro: hotpath
+    def add(  # repro: hotpath
+        self,
+        key: int,
+        value: int,
+        cells: Tuple[Cell, ...],
+        journal: Optional[Journal] = None,
+    ) -> None:
         """Record a new KV pair and register the key at each of its cells
         (one per array, in array order, as a hash family yields them)."""
         if key in self._row:
@@ -104,18 +156,34 @@ class AssistantTable:
         if self._n_rows == self._keys.size:
             self._reserve(1)
         row = self._n_rows
-        self._keys[row] = key
-        self._vals[row] = value
         width = self.width
         members = self.members
         flats = tuple([j * width + t for j, t in cells])
-        for j, flat in enumerate(flats):
-            self._flats[j, row] = flat
-            members[flat] += (key,)
-        self._alive[row] = True
-        self._n_rows = row + 1
-        self._row[key] = row
-        self._row_flats.append(flats)
+        if journal is not None:
+            for flat in flats:
+                journal.buckets.setdefault(flat, members[flat])
+            journal.added.append(key)
+        try:
+            self._keys[row] = key
+            self._vals[row] = value
+            for j, flat in enumerate(flats):
+                self._flats[j, row] = flat
+                members[flat] += (key,)
+            self._alive[row] = True
+            self._row_flats.append(flats)
+            self._row[key] = row
+            self._n_rows = row + 1
+        except BaseException:
+            # Interrupted: the key went to the end of some buckets (it is
+            # the newest row) and maybe into the row index; take it out.
+            for flat in flats:
+                bucket = members[flat]
+                if bucket and bucket[-1] == key:
+                    members[flat] = bucket[:-1]
+            del self._row_flats[row:]
+            self._row.pop(key, None)
+            self._n_rows = row
+            raise
 
     def add_batch_arrays(  # repro: hotpath
         self,
@@ -158,26 +226,78 @@ class AssistantTable:
             for key, flat in zip(key_list, flat_row):
                 members[flat] += (key,)
 
-    def remove(self, key: int) -> None:  # repro: hotpath
+    def remove(  # repro: hotpath
+        self, key: int, journal: Optional[Journal] = None
+    ) -> None:
         """Forget a KV pair; its cells' counters drop by one (§IV-C Delete)."""
-        row = self._row.pop(key)
-        self._alive[row] = False
+        row = self._row[key]
+        flats = self._row_flats[row]
         members = self.members
-        for flat in self._row_flats[row]:
-            bucket = members[flat]
-            if len(bucket) == 1:
-                members[flat] = ()
-            else:
-                i = bucket.index(key)
-                members[flat] = bucket[:i] + bucket[i + 1:]
-        self._row_flats[row] = ()
+        if journal is not None:
+            for flat in flats:
+                journal.buckets.setdefault(flat, members[flat])
+            journal.removed.append((key, row, flats))
+        try:
+            for flat in flats:
+                bucket = members[flat]
+                if len(bucket) == 1:
+                    members[flat] = ()
+                else:
+                    i = bucket.index(key)
+                    members[flat] = bucket[:i] + bucket[i + 1:]
+            self._alive[row] = False
+            self._row_flats[row] = ()
+            del self._row[key]
+        except BaseException:
+            self._put_back(key, row, flats)
+            raise
 
-    def set_value(self, key: int, value: int) -> None:
+    def _put_back(self, key: int, row: int, flats: Tuple[int, ...]) -> None:
+        """Re-register a pair an interrupted :meth:`remove` had begun to
+        take out. A bucket lists its keys in row order, so the key goes
+        back where it was: after the keys of lower rows."""
+        members = self.members
+        row_of = self._row
+        for flat in flats:
+            bucket = members[flat]
+            if key not in bucket:
+                at = sum(1 for other in bucket if row_of[other] < row)
+                members[flat] = bucket[:at] + (key,) + bucket[at:]
+        self._alive[row] = True
+        self._row_flats[row] = flats
+        row_of[key] = row
+
+    def set_value(
+        self, key: int, value: int, journal: Optional[Journal] = None
+    ) -> None:
         """Record the new value for an existing key (cells are unchanged)."""
         row = self._row.get(key)
         if row is None:
             raise KeyError(f"key {key!r} not recorded")
+        if journal is not None:
+            journal.values.setdefault(key, self._vals.item(row))
         self._vals[row] = value
+
+    def undo(self, journal: Journal) -> None:
+        """Write ``journal``'s slow-space before-images back: old bucket
+        tuples, removed rows re-registered, appended rows dropped, old
+        values. Idempotent, and O(what the journal recorded)."""
+        members = self.members
+        for flat, bucket in journal.buckets.items():
+            members[flat] = bucket
+        for key, row, flats in journal.removed:
+            self._row[key] = row
+            self._alive[row] = True
+            self._row_flats[row] = flats
+        for key in journal.added:
+            self._row.pop(key, None)
+        rows = journal.rows
+        if self._n_rows > rows:
+            self._alive[rows:self._n_rows] = False
+        del self._row_flats[rows:]
+        self._n_rows = rows
+        for key, value in journal.values.items():
+            self._vals[self._row[key]] = value
 
     def clear(self) -> None:
         """Drop every pair (used by reconstruction before re-inserting)."""
@@ -190,7 +310,9 @@ class AssistantTable:
         """Room for ``extra`` appended rows.
 
         A full column is rebuilt holding only the live rows, in order, with
-        room for ``max(2·live, live + extra)`` rows.
+        room for ``max(2·live, live + extra)`` rows. The new columns and
+        index are built aside and swapped in by one statement, so an
+        interruption leaves the table as it was.
         """
         if self._n_rows + extra <= self._keys.size:
             return
@@ -205,14 +327,24 @@ class AssistantTable:
         vals[:live] = self._vals[rows]
         flats[:, :live] = self._flats[:, rows]
         alive[:live] = True
+        row_index, row_flats = self._row, self._row_flats
         if live != self._n_rows:
-            row_flats = self._row_flats
-            self._row_flats = [row_flats[row] for row in rows.tolist()]
-            self._row.update(zip(keys[:live].tolist(), range(live)))
-        self._keys, self._vals, self._flats, self._alive = (
-            keys, vals, flats, alive
+            row_flats = [row_flats[row] for row in rows.tolist()]
+            row_index = dict(zip(keys[:live].tolist(), range(live)))
+        (self._keys, self._vals, self._flats, self._alive, self._row,
+         self._row_flats, self._n_rows) = (
+            keys, vals, flats, alive, row_index, row_flats, live
         )
-        self._n_rows = live
+
+    def journal(self, extra: int) -> Journal:
+        """A :class:`Journal` for a write appending up to ``extra`` rows.
+
+        The room is reserved first, so no compaction renumbers rows while
+        the journal is open and its undo can drop every row past
+        :attr:`Journal.rows`.
+        """
+        self._reserve(extra)
+        return Journal(self._n_rows)
 
     # -- queries ---------------------------------------------------------
 
@@ -249,7 +381,7 @@ class AssistantTable:
         rows = np.flatnonzero(self._alive[: self._n_rows])
         return zip(self._keys[rows].tolist(), self._vals[rows].tolist())
 
-    # -- rollback --------------------------------------------------------
+    # -- whole-table snapshots -------------------------------------------
 
     def snapshot(self) -> Columns:
         """A copy of the live columns, for :meth:`restore` or persistence."""

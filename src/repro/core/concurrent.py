@@ -11,8 +11,8 @@ the same way).
 This Python port keeps the same structure and visibility semantics but
 adapts the locking to CPython:
 
-- Mutations (insert / update / delete / reconstruct) are serialised by one
-  update mutex. Under the GIL, fine-grained per-unit writer locks cannot
+- Mutations (insert / update / delete, their batch forms, reconstruct)
+  are serialised by one update mutex. Under the GIL, fine-grained per-unit writer locks cannot
   run update work in parallel anyway, and per-cell "atomic XOR" does not
   exist for numpy scalars — a read-modify-write races. Serialising writers
   is the honest equivalent that preserves correctness.
@@ -192,9 +192,19 @@ class ConcurrentVisionEmbedder(VisionEmbedder):
         with self._update_mutex:
             super().insert_batch(keys, values)
 
+    def update_batch(
+        self, keys: Iterable[Key], values: Iterable[int]
+    ) -> None:
+        with self._update_mutex:
+            super().update_batch(keys, values)
+
     def delete(self, key: Key) -> None:
         with self._update_mutex:
             super().delete(key)
+
+    def delete_batch(self, keys: Iterable[Key]) -> None:
+        with self._update_mutex:
+            super().delete_batch(keys)
 
     def reconstruct(self, method: str = "dynamic") -> None:
         # Reconstruction rewrites the whole fast space: serialise against

@@ -24,12 +24,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.assistant_table import AssistantTable, Columns
+from repro.core.assistant_table import AssistantTable, Columns, Journal
 from repro.core.config import EmbedderConfig
 from repro.core.engine import ScalarEngine
 from repro.core.packed_table import PackedValueTable
@@ -42,13 +43,34 @@ from repro.core.errors import (
 )
 from repro.core.stats import TableStats
 from repro.core.static_build import static_build_arrays
-from repro.core.update import make_strategy, search_update_path
+from repro.core.update import make_strategy, search_update_path, write_back
 from repro.core.value_table import ValueTable, xor_lookup, xor_lookup_batch
 from repro.hashing import HashFamily, key_to_u64, keys_to_u64_batch
 from repro.obs.hooks import MetricsHooks, WalkHooks, default_metrics_enabled
 from repro.table import Key, ValueOnlyTable
 
 Cell = Tuple[int, int]
+
+#: ``(seed, dense cells or None when all zero, live assistant columns)``.
+Snapshot = Tuple[int, Optional[npt.NDArray[np.uint64]], Columns]
+
+
+def _canonical(keys: Iterable[Key]) -> Tuple[Any, npt.NDArray[np.uint64]]:
+    """``(key sequence, uint64 handles)`` of a batch of keys.
+
+    An array goes to canonicalisation whole: a list of its numpy scalars
+    would miss the one-pass conversion and go key by key.
+    """
+    key_seq: Any = (
+        keys if isinstance(keys, (np.ndarray, list)) else list(keys)
+    )
+    return key_seq, keys_to_u64_batch(key_seq)
+
+
+def _key_at(key_seq: Any, index: int) -> Any:
+    """The caller's key at ``index`` of a batch, for an error message."""
+    key = key_seq[index]
+    return key.item() if isinstance(key, np.generic) else key
 
 
 def plane_width(capacity: int, space_factor: float, num_arrays: int) -> int:
@@ -139,6 +161,8 @@ class VisionEmbedder(ValueOnlyTable):
         self._updates_counter = self._stats.counter_for("updates")
         self._repair_steps_counter = self._stats.counter_for("repair_steps")
         self._in_reconstruct = False
+        # The open write journal of a multi-key write (None between them).
+        self._journal: Optional[Journal] = None
         self._hooks: Optional[WalkHooks] = None
         if hooks is None and default_metrics_enabled():
             hooks = MetricsHooks(self._stats.registry)
@@ -260,46 +284,32 @@ class VisionEmbedder(ValueOnlyTable):
         failure — :class:`SpaceExhausted`, a reconstruction that never
         finds a seed, or an arbitrary fault mid-walk — restores the table
         bit-for-bit to its pre-batch state (cells, assistant entries, and
-        hash seed) before the exception propagates.
+        hash seed) before the exception propagates. The batch journals
+        the before-images of what it overwrites, so the undo costs
+        O(batch) unless a reconstruction ran (:meth:`_rollback`).
         """
-        # An array goes to canonicalisation whole: a list of its numpy
-        # scalars would miss the one-pass conversion and go key by key.
-        key_seq: Any = keys if isinstance(keys, np.ndarray) else list(keys)
-        handles = keys_to_u64_batch(key_seq)
+        key_seq, handles = _canonical(keys)
         n = len(handles)
-        value_list = [int(v) for v in values]
-        if len(value_list) != n:
-            raise ValueError("keys and values must align")
+        value_list = self._checked_values(values, n)
         if n == 0:
             return
         if np.unique(handles).size != n:
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(handles)
         if bool(hits.any()):
-            offender = key_seq[int(np.argmax(hits))]
-            if isinstance(offender, np.generic):
-                offender = offender.item()
+            offender = _key_at(key_seq, int(np.argmax(hits)))
             raise DuplicateKey(f"key {offender!r} already inserted")
-        try:
-            value_arr = np.asarray(value_list, dtype=np.uint64)
-        except (OverflowError, ValueError):
-            # Some value doesn't even fit uint64; the scalar check below
-            # raises on the first offender with the precise message.
-            for value in value_list:
-                self._check_value(value)
-            raise  # pragma: no cover - _check_value always raised above
-        mask = np.uint64(self._table.value_mask)
-        if bool((value_arr > mask).any()):
-            self._check_value(value_list[int(np.argmax(value_arr > mask))])
         self._stats.note_batch(n)
-        snapshot = self._snapshot_state()
+        journal = self._open_journal(n) if self._journal is None else None
         try:
             self._engine.insert_batch(self, handles, value_list)
         except BaseException:
-            # All-or-nothing: a mid-batch failure rewinds cells,
-            # assistant entries, and seed to the pre-batch snapshot.
-            self._restore_state(snapshot)
+            if journal is not None:
+                self._rollback(journal)
             raise
+        finally:
+            if journal is not None:
+                self._close_journal()
 
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
@@ -338,6 +348,38 @@ class VisionEmbedder(ValueOnlyTable):
             self._assistant.set_value(handle, old_value)
             raise
 
+    # repro: atomic
+    # repro: raises(KeyNotFound, ValueError, TypeError, UpdateFailure)
+    # repro: raises(SpaceExhausted, ReconstructionFailed)
+    def update_batch(
+        self, keys: Iterable[Key], values: Iterable[int]
+    ) -> None:
+        """Change the values of many existing keys, all or nothing.
+
+        The whole batch is validated first — every key present, every
+        value in range — so a rejected batch changes nothing. The updates
+        then run in batch order (a repeated key ends at its last value),
+        walk for walk what sequential :meth:`update` calls do, under a
+        write journal: any failure (:class:`SpaceExhausted`, a failed
+        reconstruction, a fault) restores the pre-batch table before it
+        propagates.
+        """
+        key_seq, handles = _canonical(keys)
+        value_list = self._checked_values(values, len(handles))
+        if not value_list:
+            return
+        self._check_present(key_seq, handles, once=False)
+        journal = self._open_journal(0) if self._journal is None else None
+        try:
+            self._engine.update_batch(self, handles, value_list)
+        except BaseException:
+            if journal is not None:
+                self._rollback(journal)
+            raise
+        finally:
+            if journal is not None:
+                self._close_journal()
+
     # repro: raises(KeyNotFound, ValueError, TypeError)
     def delete(self, key: Key) -> None:
         """Remove a pair — slow-space only; the value table is untouched.
@@ -351,6 +393,32 @@ class VisionEmbedder(ValueOnlyTable):
         if handle not in self._assistant:
             raise KeyNotFound(f"key {key!r} not inserted")
         self._assistant.remove(handle)
+
+    # repro: atomic
+    # repro: raises(KeyNotFound, ValueError, TypeError)
+    def delete_batch(self, keys: Iterable[Key]) -> None:
+        """Remove many pairs, all or nothing (slow space only, like
+        :meth:`delete`).
+
+        Every key must be present and named once (a second delete of a
+        key would find it gone), or the batch is rejected with
+        :class:`KeyNotFound` before anything is removed; the removals run
+        under a write journal, so an interrupted batch is put back whole.
+        """
+        key_seq, handles = _canonical(keys)
+        if not len(handles):
+            return
+        self._check_present(key_seq, handles, once=True)
+        journal = self._open_journal(0) if self._journal is None else None
+        try:
+            self._engine.delete_batch(self, handles)
+        except BaseException:
+            if journal is not None:
+                self._rollback(journal)
+            raise
+        finally:
+            if journal is not None:
+                self._close_journal()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -405,7 +473,9 @@ class VisionEmbedder(ValueOnlyTable):
             # would only burn time and possibly bump the seed on a stall.
             return
         new_handles = keys_to_u64_batch([key for key, _ in pair_list])
-        new_values = [int(value) for _, value in pair_list]
+        new_values = self._checked_values(
+            map(itemgetter(1), pair_list), len(pair_list)
+        )
         if np.unique(new_handles).size != len(new_values):
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(new_handles)
@@ -414,19 +484,10 @@ class VisionEmbedder(ValueOnlyTable):
             raise DuplicateKey(
                 f"key {pair_list[offender][0]!r} already inserted"
             )
-        try:
-            new_value_arr = np.asarray(new_values, dtype=np.uint64)
-        except (OverflowError, ValueError):
-            for value in new_values:
-                self._check_value(value)
-            raise  # pragma: no cover - _check_value always raised above
-        mask = np.uint64(self._table.value_mask)
-        if bool((new_value_arr > mask).any()):
-            self._check_value(
-                new_values[int(np.argmax(new_value_arr > mask))]
-            )
+        new_value_arr = np.asarray(new_values, dtype=np.uint64)
         self._stats.note_batch(len(new_values))
         snapshot = self._snapshot_state()
+        self._journal_base(snapshot)
         _, _, live = snapshot
         key_array = np.concatenate([live.keys, new_handles])
         value_array = np.concatenate([live.values, new_value_arr])
@@ -477,6 +538,33 @@ class VisionEmbedder(ValueOnlyTable):
                 f"value {value} out of range for {self._value_bits}-bit values"
             )
 
+    def _checked_values(self, values: Iterable[int], n: int) -> List[int]:
+        """``values`` as ints, checked to align with ``n`` keys and to fit
+        the value width (the first offender raises)."""
+        value_list = list(map(int, values))
+        if len(value_list) != n:
+            raise ValueError("keys and values must align")
+        if value_list and not (
+            min(value_list) >= 0 and max(value_list) <= self._table.value_mask
+        ):
+            for value in value_list:
+                self._check_value(value)
+        return value_list
+
+    def _check_present(
+        self, key_seq: Any, handles: npt.NDArray[np.uint64], once: bool
+    ) -> None:
+        """Reject a batch naming an absent key or, with ``once``, naming a
+        key twice — as the sequential calls would fail on it."""
+        assistant = self._assistant
+        seen: Set[int] = set()
+        for i, handle in enumerate(handles.tolist()):
+            if handle not in assistant or handle in seen:
+                offender = _key_at(key_seq, i)
+                raise KeyNotFound(f"key {offender!r} not inserted")
+            if once:
+                seen.add(handle)
+
     def _run_update(self, handle: int) -> None:  # repro: hotpath
         """Search for a modification path and apply it; handle failure."""
         try:
@@ -502,7 +590,8 @@ class VisionEmbedder(ValueOnlyTable):
         # an interrupted cell loop — see UpdatePlan.apply).
         self._updates_counter.value += 1
         self._repair_steps_counter.value += plan.steps
-        plan.apply(self._table)
+        journal = self._journal
+        plan.apply(self._table, None if journal is None else journal.cells)
 
     def _handle_failure(self) -> None:
         """Apply the paper's failure policy (§IV-B "Update Failure")."""
@@ -541,6 +630,7 @@ class VisionEmbedder(ValueOnlyTable):
         if method not in ("dynamic", "static"):
             raise ValueError("method must be 'dynamic' or 'static'")
         snapshot = self._snapshot_state()
+        self._journal_base(snapshot)
         _, _, live = snapshot
         keys: List[int] = live.keys.tolist()
         values: List[int] = live.values.tolist()
@@ -631,31 +721,94 @@ class VisionEmbedder(ValueOnlyTable):
     # Rollback machinery (the strong exception guarantee)
     # ------------------------------------------------------------------
 
-    def _snapshot_state(
-        self,
-    ) -> Tuple[int, npt.NDArray[np.uint64], Columns]:
-        """Capture ``(seed, dense cells, live assistant columns)``.
+    def _open_journal(self, rows: int) -> Journal:
+        """Open the write journal of a multi-key write appending up to
+        ``rows`` pairs; its writes record before-images into it until
+        :meth:`_close_journal`."""
+        journal = self._assistant.journal(rows)
+        self._journal = journal
+        return journal
+
+    def _close_journal(self) -> None:
+        self._journal = None
+
+    def _journal_base(self, snapshot: Optional[Snapshot] = None) -> None:
+        """Give the open journal, if it has none yet, a base: ``snapshot``
+        (by default a fresh one), taken because a rebuild is about to
+        rewrite the whole table.
+
+        What the journal recorded so far moves into the base beside it;
+        later records go to fresh containers and are never read, since
+        undoing to the base rewinds everything after it.
+        """
+        journal = self._journal
+        if journal is None or journal.base is not None:
+            return
+        if snapshot is None:
+            snapshot = self._snapshot_state()
+        journal.base = (snapshot, journal.cells, journal.added,
+                        journal.values)
+        journal.cells, journal.added, journal.values = {}, [], {}
+
+    def _rollback(self, journal: Journal) -> None:
+        """Undo a journaled write (see :class:`Journal`).
+
+        O(batch): write the recorded plane cells back in one
+        :func:`~repro.core.update.write_back` and the slow space's
+        before-images with :meth:`AssistantTable.undo`. Once a
+        reconstruction or bulk load ran mid-write there is a base: restore
+        it, drop the keys the write had added before it, put back the
+        values it had changed and write back the cells it had touched.
+        The undo is idempotent, so a fault that interrupts it is followed
+        by one more full pass.
+        """
+        try:
+            self._undo(journal)
+        except BaseException:
+            self._undo(journal)
+            raise
+
+    def _undo(self, journal: Journal) -> None:
+        if journal.base is None:
+            write_back(self._table, journal.cells)
+            self._assistant.undo(journal)
+            return
+        snapshot, cells, added, values = journal.base
+        self._restore_state(snapshot)
+        for key in added:
+            self._assistant.remove(key)
+        for key, value in values.items():
+            self._assistant.set_value(key, value)
+        write_back(self._table, cells)
+
+    def _snapshot_state(self) -> Snapshot:
+        """Capture ``(seed, dense cells, live assistant columns)`` — the
+        O(table) rollback point of a whole-table rebuild.
 
         Everything bit-equality is judged on: the XOR planes as one dense
         array, the registered pairs with their cells, and the hash seed (a
         reconstruction mid-operation bumps it; rolling back must rewind it
-        too). All three are array copies — no per-pair Python work.
+        too). All three are array copies — no per-pair Python work. All-
+        zero planes (a fresh table's) keep no copy: a sharded build holds
+        every touched shard's snapshot until all shards succeed.
         """
+        dense = self._table.to_dense()
         return (
             self._seed,
-            self._table.to_dense(),
+            dense if dense.any() else None,
             self._assistant.snapshot(),
         )
 
-    def _restore_state(
-        self, snapshot: Tuple[int, npt.NDArray[np.uint64], Columns]
-    ) -> None:
+    def _restore_state(self, snapshot: Snapshot) -> None:
         """Rewind to a :meth:`_snapshot_state` snapshot bit-for-bit."""
         seed, dense, columns = snapshot
         if self._seed != seed:
             self._seed = seed
             self._hashes = self._hashes.reseeded(seed)
-        self._table.load_dense(dense)
+        if dense is None:
+            self._table.clear()
+        else:
+            self._table.load_dense(dense)
         self._assistant.restore(columns)
 
     # ------------------------------------------------------------------

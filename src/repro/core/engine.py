@@ -1,4 +1,4 @@
-"""The write engine: how ``insert_batch`` schedules its repair walks.
+"""The write engine: how multi-key writes schedule their repair walks.
 
 :class:`ScalarEngine` repairs a batch key by key: each insert registers
 one pair in the columnar
@@ -8,6 +8,12 @@ repair walk, in batch order — walk for walk what sequential
 table. The batch only shares the work around the walks: the cells of
 every key come from one vectorised hashing pass (recomputed for the
 remaining keys if a mid-batch reconstruction reseeds the hashes).
+Updates go the same way, one value change and one walk per key; deletes
+only drop bucket entries.
+
+Both run inside the embedder's open write journal, which every
+registration and walk records its before-images into; the embedder
+undoes the batch from it on failure.
 
 Bulk builds and rebuilds do not come through here: ``bulk_load`` runs
 the static peel of :mod:`repro.core.static_build` (§IV-C).
@@ -19,8 +25,6 @@ from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 import numpy.typing as npt
-
-from repro.core.errors import SpaceExhausted
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.embedder import VisionEmbedder
@@ -38,7 +42,8 @@ class ScalarEngine:
         value_list: List[int],
     ) -> None:  # repro: hotpath
         """Insert a pre-validated batch (the embedder checked duplicates
-        and value ranges, and rolls the batch back on any failure)."""
+        and value ranges, and undoes the batch from its journal on any
+        failure)."""
         assistant = emb._assistant
 
         def hash_rows(
@@ -62,9 +67,30 @@ class ScalarEngine:
                 cells_rows = hash_rows(handles[i:])
                 base = i
                 hashed_seed = emb._seed
-            assistant.add(handle, value_list[i], cells_rows[i - base])
-            try:
-                emb._run_update(handle)
-            except SpaceExhausted:
-                assistant.remove(handle)
-                raise
+            assistant.add(
+                handle, value_list[i], cells_rows[i - base], emb._journal
+            )
+            emb._run_update(handle)
+
+    def update_batch(
+        self,
+        emb: "VisionEmbedder",
+        handles: npt.NDArray[np.uint64],
+        value_list: List[int],
+    ) -> None:
+        """Update a pre-validated batch of present keys, in batch order
+        (walk for walk what sequential :meth:`VisionEmbedder.update`
+        calls do)."""
+        assistant = emb._assistant
+        for handle, value in zip(handles.tolist(), value_list):
+            assistant.set_value(handle, value, emb._journal)
+            emb._run_update(handle)
+
+    def delete_batch(
+        self, emb: "VisionEmbedder", handles: npt.NDArray[np.uint64]
+    ) -> None:
+        """Remove a pre-validated batch of present keys (slow space only,
+        like :meth:`VisionEmbedder.delete`)."""
+        assistant = emb._assistant
+        for handle in handles.tolist():
+            assistant.remove(handle, emb._journal)

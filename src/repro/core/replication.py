@@ -122,34 +122,51 @@ class PublishingVisionEmbedder(VisionEmbedder):
         with self._capture_writes():
             super().update(key, value)
 
+    def update_batch(self, keys, values) -> None:
+        with self._capture_writes():
+            super().update_batch(keys, values)
+
     def _capture_writes(self):
         """Context manager publishing every cell XOR the operation applies.
 
-        A write that raises has rolled the table back, ``insert_batch``
-        through a dense restore that no cell XOR shows, so the replicas
-        resync from a snapshot of the restored table.
+        A write that raises has rolled itself back by writing its cells'
+        before-images back in one ``xor_batch``; those XORs are published
+        too, so the replicas follow the undo cell by cell. Only when a
+        reconstruction ran mid-write — its undo is a dense restore that
+        no cell XOR shows — do the replicas resync from a snapshot.
         """
         publisher = self
+        table = publisher._table
+
+        def publishing_xor(cell, delta, _orig=table.xor):
+            _orig(cell, delta)
+            publisher._publish(UpdateMessage(cell=cell, delta=int(delta)))
+
+        def publishing_xor_batch(flat_cells, deltas, _orig=table.xor_batch):
+            _orig(flat_cells, deltas)
+            for flat, delta in zip(np.asarray(flat_cells).tolist(),
+                                   np.asarray(deltas).tolist()):
+                publisher._publish(UpdateMessage(
+                    cell=divmod(flat, table.width),
+                    delta=delta & table.value_mask,
+                ))
 
         class _Capture:
             def __enter__(self):
-                publisher._original_xor = publisher._table.xor
-
-                def publishing_xor(cell, delta, _orig=publisher._original_xor):
-                    _orig(cell, delta)
-                    publisher._publish(
-                        UpdateMessage(cell=cell, delta=int(delta))
-                    )
-
-                publisher._table.xor = publishing_xor
+                self.reconstructions = publisher._stats.reconstructions
+                table.xor = publishing_xor
+                table.xor_batch = publishing_xor_batch
                 return self
 
             def __exit__(self, exc_type, *exc):
-                # Remove the instance attribute so the class method shows
+                # Remove the instance attributes so the class methods show
                 # through again.
-                del publisher._table.xor
-                del publisher._original_xor
-                if exc_type is not None:
+                del table.xor
+                del table.xor_batch
+                rebuilt = (
+                    publisher._stats.reconstructions != self.reconstructions
+                )
+                if exc_type is not None and rebuilt:
                     publisher._publish(
                         SnapshotMessage.of(publisher.seed, publisher._table)
                     )

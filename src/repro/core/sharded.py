@@ -46,19 +46,36 @@ from __future__ import annotations
 import io
 import math
 import time
+from operator import itemgetter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.config import EmbedderConfig
-from repro.core.embedder import VisionEmbedder, plane_width
-from repro.core.errors import DuplicateKey
+from repro.core.assistant_table import Journal
+from repro.core.embedder import (
+    VisionEmbedder,
+    _canonical,
+    _key_at,
+    plane_width,
+)
+from repro.core.errors import DuplicateKey, KeyNotFound
 from repro.core.packed_table import PackedValueTable
 from repro.core.stats import STAT_FIELDS, TableStats
 from repro.core.value_table import PlaneBlock, ValueTable, xor_lookup_batch
-from repro.hashing import HashFamily, key_to_u64, keys_to_u64_batch, seed_table
+from repro.hashing import HashFamily, key_to_u64, seed_table
 from repro.obs.registry import MetricsRegistry, aggregate
 from repro.table import Key, ValueOnlyTable
 
@@ -487,18 +504,68 @@ class ShardedEmbedder(ValueOnlyTable):
         """Partitioned batch insert (sequential shards; see :meth:`build`)."""
         self.build(pairs, workers=1)
 
+    # repro: atomic
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
     def insert_batch(
         self, keys: Iterable[Key], values: Iterable[int]
     ) -> None:
-        """Batched insert mirroring :meth:`VisionEmbedder.insert_batch`."""
-        key_list = list(keys)
-        value_list = [int(value) for value in values]
-        if len(key_list) != len(value_list):
-            raise ValueError("keys and values must align")
-        self.build(zip(key_list, value_list), workers=1)
+        """Batched insert mirroring :meth:`VisionEmbedder.insert_batch`:
+        all or nothing across every shard (see :meth:`build`). A key array
+        is canonicalised whole."""
+        self._build(keys, values, 1, "dynamic", "thread")
 
+    # repro: atomic
+    # repro: raises(KeyNotFound, ValueError, TypeError, UpdateFailure)
+    # repro: raises(SpaceExhausted, ReconstructionFailed)
+    def update_batch(
+        self, keys: Iterable[Key], values: Iterable[int]
+    ) -> None:
+        """Batched update mirroring :meth:`VisionEmbedder.update_batch`.
+
+        The batch is validated across every shard first (each key
+        present, values in range; a repeated key ends at its last value);
+        the touched shards then update under write journals that stay
+        open until all of them succeed, and a failure rolls every touched
+        shard back.
+        """
+        key_seq, handles = _canonical(keys)
+        values_arr = self._checked_values(values, int(handles.size))
+        order, jobs, grouped_handles = self._route_present(
+            key_seq, handles, once=False
+        )
+        grouped_values = values_arr[order].tolist()
+
+        def write() -> None:
+            # Validated above, so each shard's slice goes straight to its
+            # write engine, under the journal _journaled opened.
+            for index, lo, hi in jobs:
+                shard = self._shards[index]
+                shard._engine.update_batch(
+                    shard, grouped_handles[lo:hi], grouped_values[lo:hi]
+                )
+
+        self._journaled(jobs, False, write)
+
+    # repro: atomic
+    # repro: raises(KeyNotFound, ValueError, TypeError)
+    def delete_batch(self, keys: Iterable[Key]) -> None:
+        """Batched delete mirroring :meth:`VisionEmbedder.delete_batch`,
+        validated across every shard first and rolled back across every
+        touched shard on failure."""
+        key_seq, handles = _canonical(keys)
+        _, jobs, grouped_handles = self._route_present(
+            key_seq, handles, once=True
+        )
+
+        def write() -> None:
+            for index, lo, hi in jobs:
+                shard = self._shards[index]
+                shard._engine.delete_batch(shard, grouped_handles[lo:hi])
+
+        self._journaled(jobs, False, write)
+
+    # repro: atomic
     # repro: raises(DuplicateKey, ValueError, TypeError)
     # repro: raises(ReconstructionFailed)
     def bulk_load(self, pairs: Iterable[Tuple[Key, int]]) -> None:
@@ -509,6 +576,7 @@ class ShardedEmbedder(ValueOnlyTable):
     # Parallel build
     # ------------------------------------------------------------------
 
+    # repro: atomic
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
     def build(
@@ -537,12 +605,16 @@ class ShardedEmbedder(ValueOnlyTable):
         ``.npz`` persistence payload, which loads into the shard in place,
         so it requires every involved shard to be empty.
 
-        The whole batch is validated up front (duplicates within the
-        batch, keys already present, value range): a rejected batch leaves
-        every shard untouched. After validation the per-shard builds have
-        ``insert_many`` semantics — a :class:`SpaceExhausted` aborts with
-        the completed shards (and the failing shard's walked prefix)
-        inserted.
+        The call is **all-or-nothing across shards**. The whole batch is
+        validated up front (duplicates within the batch, keys already
+        present, value range), so a rejected batch leaves every shard
+        untouched. Every touched shard then writes under a journal that
+        stays open until all shards have succeeded; any failure —
+        :class:`SpaceExhausted` in one shard, a failed reconstruction, a
+        fault — rolls every touched shard back, last first. Dynamic
+        inserts undo in O(batch); a static peel or a process-built shard
+        rewrites the whole shard, so its journal holds the shard's
+        pre-call snapshot, which the peel costs anyway.
         """
         if executor not in _EXECUTORS:
             raise ValueError(
@@ -551,39 +623,45 @@ class ShardedEmbedder(ValueOnlyTable):
         if method not in ("dynamic", "static"):
             raise ValueError("method must be 'dynamic' or 'static'")
         pair_list = list(pairs)
-        if not pair_list:
-            return
-        handles = keys_to_u64_batch([key for key, _ in pair_list])
-        values = np.fromiter(
-            (int(value) for _, value in pair_list),
-            dtype=np.uint64, count=len(pair_list),
+        self._build(
+            [key for key, _ in pair_list], map(itemgetter(1), pair_list),
+            workers, method, executor,
         )
-        n = int(handles.size)
-        if np.unique(handles).size != n:
+
+    def _build(
+        self,
+        keys: Iterable[Key],
+        values: Iterable[int],
+        workers: int,
+        method: str,
+        executor: str,
+    ) -> None:
+        """:meth:`build` over a key and a value sequence."""
+        key_seq, handles = _canonical(keys)
+        values_arr = self._checked_values(values, int(handles.size))
+        if not handles.size:
+            return
+        if np.unique(handles).size != handles.size:
             raise DuplicateKey("duplicate keys within batch")
-        value_mask = (1 << self._value_bits) - 1
-        if n and int(values.max()) > value_mask:
-            bad = int(values[values > value_mask][0])
-            raise ValueError(
-                f"value {bad} out of range for {self._value_bits}-bit values"
-            )
         order, jobs = partition(handles, self._shard_seed, self.num_shards)
         grouped_handles = handles[order]
-        grouped_values = values[order]
-        for index, lo, hi in jobs:
-            # Vectorised membership against the shard's assistant (one
-            # sorted-index / dict pass instead of a per-key loop).
-            hits = self._shards[index]._assistant.contains_batch(
-                grouped_handles[lo:hi]
-            )
-            if bool(hits.any()):
-                offender = int(grouped_handles[lo + int(np.argmax(hits))])
-                raise DuplicateKey(f"key {offender!r} already inserted")
-        started = time.perf_counter()
-        self._builds_counter.inc()
-        self._build_workers_gauge.set(workers)
-        try:
-            if executor == "process" and workers > 1 and len(jobs) > 1:
+        grouped_values = values_arr[order]
+        offender = self._misplaced(key_seq, order, jobs, grouped_handles,
+                                   False)
+        if offender is not None:
+            raise DuplicateKey(f"key {offender!r} already inserted")
+        in_processes = executor == "process" and workers > 1 and len(jobs) > 1
+        if in_processes:
+            for index, _, _ in jobs:
+                if len(self._shards[index]) != 0:
+                    raise ValueError(
+                        "executor='process' rebuilds shards from scratch "
+                        f"and shard {index} already holds keys — use the "
+                        "thread executor for incremental builds"
+                    )
+
+        def write() -> None:
+            if in_processes:
                 self._build_in_processes(
                     jobs, grouped_handles, grouped_values, method, workers
                 )
@@ -597,8 +675,114 @@ class ShardedEmbedder(ValueOnlyTable):
                         index, grouped_handles[lo:hi], grouped_values[lo:hi],
                         method,
                     )
+
+        started = time.perf_counter()
+        self._builds_counter.inc()
+        self._build_workers_gauge.set(workers)
+        try:
+            self._journaled(jobs, method == "dynamic", write)
         finally:
             self._build_seconds_counter.inc(time.perf_counter() - started)
+
+    def _checked_values(
+        self, values: Iterable[int], n: int
+    ) -> npt.NDArray[np.uint64]:
+        """``values`` as a ``uint64`` array, checked to align with ``n``
+        keys and to fit the value width."""
+        value_list = list(map(int, values))
+        if len(value_list) != n:
+            raise ValueError("keys and values must align")
+        value_mask = (1 << self._value_bits) - 1
+        if value_list and not (
+            min(value_list) >= 0 and max(value_list) <= value_mask
+        ):
+            bad = next(v for v in value_list if not 0 <= v <= value_mask)
+            raise ValueError(
+                f"value {bad} out of range for {self._value_bits}-bit values"
+            )
+        return np.array(value_list, dtype=np.uint64)
+
+    def _route_present(
+        self, key_seq: Any, handles: npt.NDArray[np.uint64], once: bool
+    ) -> Tuple[npt.NDArray[np.int64], List[Tuple[int, int, int]],
+               npt.NDArray[np.uint64]]:
+        """:func:`partition` a batch of keys that must all be present
+        (updates) and, with ``once``, be named once (deletes, as a second
+        delete of a key would find it gone); ``(order, jobs, grouped
+        handles)``."""
+        order, jobs = partition(handles, self._shard_seed, self.num_shards)
+        grouped_handles = handles[order]
+        offender = self._misplaced(key_seq, order, jobs, grouped_handles,
+                                   True)
+        if offender is None and once and (
+            np.unique(handles).size != handles.size
+        ):
+            seen: Set[int] = set()
+            for at, handle in enumerate(handles.tolist()):
+                if handle in seen:
+                    offender = _key_at(key_seq, at)
+                    break
+                seen.add(handle)
+        if offender is not None:
+            raise KeyNotFound(f"key {offender!r} not inserted")
+        return order, jobs, grouped_handles
+
+    def _misplaced(
+        self,
+        key_seq: Any,
+        order: npt.NDArray[np.int64],
+        jobs: Sequence[Tuple[int, int, int]],
+        grouped_handles: npt.NDArray[np.uint64],
+        present: bool,
+    ) -> Any:
+        """The first key of the batch not ``present`` in its shard
+        (updates, deletes) or, with ``present=False``, already there
+        (inserts); None if there is none."""
+        for index, lo, hi in jobs:
+            assistant = self._shards[index]._assistant
+            if not present and not len(assistant):
+                continue  # an empty shard holds nothing to collide with
+            for at, handle in enumerate(grouped_handles[lo:hi].tolist(), lo):
+                if (handle in assistant) != present:
+                    return _key_at(key_seq, int(order[at]))
+        return None
+
+    def _journaled(
+        self,
+        jobs: Sequence[Tuple[int, int, int]],
+        reserve: bool,
+        write: Callable[[], None],
+    ) -> None:
+        """Run ``write`` with a write journal open on every shard of
+        ``jobs`` (room reserved for its appended rows when ``reserve``),
+        until all of them have succeeded; on any failure roll every
+        touched shard back."""
+        shards = [self._shards[index] for index, _, _ in jobs]
+        journals: List[Tuple[VisionEmbedder, Journal]] = []
+        try:
+            for shard, (_, lo, hi) in zip(shards, jobs):
+                journals.append(
+                    (shard, shard._open_journal(hi - lo if reserve else 0))
+                )
+            write()
+        except BaseException:
+            # Undo writes before-images back, so it is idempotent: should
+            # anything interrupt the first pass, a second one finishes it.
+            try:
+                self._rollback(journals)
+            except BaseException:
+                self._rollback(journals)
+                raise
+            raise
+        finally:
+            for shard in shards:
+                shard._close_journal()
+
+    @staticmethod
+    def _rollback(journals: List[Tuple[VisionEmbedder, Journal]]) -> None:
+        """Undo every journaled shard, last touched first."""
+        for shard, journal in reversed(journals):
+            shard._undo(journal)
 
     def _build_one_shard(
         self,
@@ -647,13 +831,6 @@ class ShardedEmbedder(ValueOnlyTable):
     ) -> None:
         from repro.core.persist import _read_embedder, _restore_embedder
 
-        for index, _, _ in jobs:
-            if len(self._shards[index]) != 0:
-                raise ValueError(
-                    "executor='process' rebuilds shards from scratch and "
-                    f"shard {index} already holds keys — use the thread "
-                    "executor for incremental builds"
-                )
         payloads = [
             (
                 self._shards[index].capacity, self._value_bits,
@@ -667,6 +844,9 @@ class ShardedEmbedder(ValueOnlyTable):
             results = list(pool.map(_build_shard_payload, payloads))
         for (index, _, _), (payload, stats) in zip(jobs, results):
             shard = self._shards[index]
+            # The load rewrites the whole shard: its journal keeps the
+            # pre-call snapshot to roll back to.
+            shard._journal_base()
             # Into the shard's own plane view: the block stays whole.
             _restore_embedder(shard, _read_embedder(io.BytesIO(payload)))
             # The child's walk counters would otherwise be lost with the

@@ -540,9 +540,13 @@ class SharedPlanes:
     # -- reads (torn-free for readers) --------------------------------------
 
     def get(self, cell: Cell) -> int:  # repro: hotpath
+        if self._segment.writable:  # the owner's reads are always stable
+            return self._inner.get(cell)
         return self.read_stable(lambda: self._inner.get(cell))
 
     def xor_sum(self, cells: Iterable[Cell]) -> int:  # repro: hotpath
+        if self._segment.writable:
+            return self._inner.xor_sum(cells)
         materialised = tuple(cells)
         return self.read_stable(lambda: self._inner.xor_sum(materialised))
 

@@ -9,15 +9,13 @@ Two decision strategies are provided:
   us to rewrite, and pick the cheapest. The lookahead depth follows the
   paper's dynamic schedule (1 → 2 → 3 as the table fills).
 
-Two execution modes implement the repair itself:
-
-- :func:`find_update_path` — the *deferred* mode from the paper's
-  concurrency section: the search records the set of cells to modify
-  (``S_delta``); every cell on the path is then XORed by one fixed increment
-  ``V_delta``. A failed search leaves the value table untouched.
-- :func:`eager_update` — the same walk but rewriting cells as it goes, as
-  Algorithm 1/2 is written. It exists as an executable specification; a
-  property test asserts the two modes produce identical tables.
+The repair runs in the *deferred* mode of the paper's concurrency
+section: :func:`find_update_path` records the set of cells to modify
+(``S_delta``), and :meth:`UpdatePlan.apply` then XORs every cell on the
+path by one fixed increment ``V_delta``. A failed search leaves the value
+table untouched. (The eager form, rewriting cells during the walk as
+Algorithm 1/2 is written, is kept in the tests as the executable
+specification the deferred mode is checked against.)
 
 :func:`search_update_path` layers the paper's "search backtrack feature"
 (§IV-B Concurrency) on top: because a failed deferred search leaves no
@@ -30,7 +28,7 @@ randomised retries finds one, cutting measured update failures by an order
 of magnitude and leaving reconstruction for the genuinely unsolvable
 O(1/n) collision events.
 
-Both walks are iterative (explicit work stack), so deep repair chains near
+The walk is iterative (explicit work stack), so deep repair chains near
 full occupancy cannot overflow the Python recursion limit.
 """
 
@@ -39,7 +37,9 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.assistant_table import AssistantTable
 from repro.core.config import DepthPolicy
@@ -247,22 +247,49 @@ class UpdatePlan:
     steps: int
 
     # repro: atomic
-    def apply(self, table: ValueTable) -> None:
+    def apply(
+        self, table: ValueTable, before: Optional[Dict[Cell, int]] = None
+    ) -> None:
         """XOR ``v_delta`` into every cell on the path — all or nothing.
 
-        XOR is self-inverse, so an exception mid-loop (a fault injected
-        between cells) is undone by re-XORing the already-applied prefix
-        before re-raising: the table is never left partially applied.
+        Each cell's old value is recorded before the cell changes: into
+        ``before`` (an open journal's plane images, kept first-write-wins)
+        when a multi-key write passes one, whose undo then covers this
+        plan too. Without one, an exception mid-loop (a fault injected
+        between cells) writes the recorded values back (:func:`write_back`)
+        before re-raising, so the table is never left partially applied.
         """
-        applied: List[Cell] = []
+        images: Dict[Cell, int] = {} if before is None else before
         try:
             for cell in self.path:
+                if cell not in images:
+                    images[cell] = table.get(cell)
                 table.xor(cell, self.v_delta)
-                applied.append(cell)
         except BaseException:
-            for cell in applied:
-                table.xor(cell, self.v_delta)
+            if before is None:
+                write_back(table, images)
             raise
+
+
+def write_back(table: ValueTable, images: Dict[Cell, int]) -> None:
+    """Write before-images back: one ``xor_batch`` of ``current ^ old``
+    over the recorded cells.
+
+    Idempotent — a cell the write never reached gets a zero delta — so it
+    undoes exactly however far the write got.
+    """
+    if not images:
+        return
+    width = table.width
+    count = len(images)
+    flats = np.fromiter(
+        (j * width + t for j, t in images), dtype=np.int64, count=count
+    )
+    deltas = np.fromiter(
+        (table.get(cell) ^ old for cell, old in images.items()),
+        dtype=np.uint64, count=count,
+    )
+    table.xor_batch(flats, deltas)
 
 
 def _run_repair_walk(  # repro: hotpath
@@ -275,7 +302,8 @@ def _run_repair_walk(  # repro: hotpath
     max_steps: int,
     hooks=None,
 ) -> int:
-    """The shared repair loop of both execution modes.
+    """The repair loop, over callbacks that check an equation and modify
+    a cell (:func:`find_update_path`'s record the path instead of writing).
 
     Pops (key, pinned-cell) work items; a popped key whose equation already
     holds is dropped, otherwise one of its non-pinned cells is chosen by
@@ -422,40 +450,6 @@ def search_update_path(
     raise UpdateFailure(
         f"no repair path within {max_attempts} search attempts",
         steps=total_steps,
-    )
-
-
-def eager_update(
-    table: ValueTable,
-    assistant: AssistantTable,
-    key: int,
-    strategy: UpdateStrategy,
-    space_efficiency: float,
-    max_steps: int,
-    hooks=None,
-) -> int:
-    """Algorithm 1/2 executed directly: rewrite cells during the walk.
-
-    Returns the number of repair steps. On :class:`UpdateFailure` the table
-    is left with partial writes (the paper reconstructs in that case); the
-    deferred mode above is what the library actually uses. Every broken
-    equation in the walk is off by exactly the initial discrepancy
-    ``V_delta`` (modifications only ever XOR ``V_delta``), so the rewrite
-    is the same XOR the deferred plan applies.
-    """
-    v_delta = table.xor_sum(assistant.cells(key)) ^ assistant.value(key)
-    if v_delta == 0:
-        return 0
-
-    def check_consistent(current: int, cells: Tuple[Cell, ...]) -> bool:
-        return table.xor_sum(cells) == assistant.value(current)
-
-    def modify(cell: Cell) -> None:
-        table.xor(cell, v_delta)
-
-    return _run_repair_walk(
-        check_consistent, modify, assistant, key, strategy,
-        space_efficiency, max_steps, hooks,
     )
 
 

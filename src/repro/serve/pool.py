@@ -13,10 +13,11 @@ worker processes, each hosting the existing
   (:meth:`~repro.core.sharded.BlockReader.lookup`: route, hash, one
   gather + XOR), inside one seqlock read so a concurrent owner write is
   retried, never torn.
-- **Writes route to the single owner.** Workers forward
-  insert/update/delete over a per-worker pipe; the owner service thread
-  applies them to the real table — whose plane mutations now land in the
-  shared segment — inside one seqlock transaction, then republishes every
+- **Writes route to the single owner.** Workers forward each write —
+  a served request is one ``insert_batch``/``update_batch``/
+  ``delete_batch`` — as one RPC over a per-worker pipe; the owner service
+  thread applies it to the real table — whose plane mutations now land in
+  the shared segment — inside one seqlock transaction, then republishes every
   shard's seed and key count in the same bracket (readers pick up
   reconstruction reseeds from the segment header).
 - **Accepting scales with the kernel.** Every worker listens on its own
@@ -80,9 +81,10 @@ _RPC_TIMEOUT_S = 30.0
 #: Seconds the owner waits for one worker's metrics snapshot.
 _SNAPSHOT_TIMEOUT_S = 2.0
 #: Write operations the owner service accepts from workers.
-_WRITE_OPS = frozenset(
-    {"insert", "insert_batch", "update", "update_batch", "delete"}
-)
+_WRITE_OPS = frozenset({
+    "insert", "insert_batch", "update", "update_batch", "delete",
+    "delete_batch",
+})
 
 
 class WorkerTable(ValueOnlyTable):
@@ -207,13 +209,19 @@ class WorkerTable(ValueOnlyTable):
     # repro: raises(KeyNotFound, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
     def update_batch(self, keys: Any, values: Any) -> None:
-        """One owner round-trip for a run of updates (prefix-applied on
-        error, matching the serving layer's scalar-write semantics)."""
+        """One owner round-trip for a batch of updates, applied all or
+        nothing by the owner's table."""
         self.rpc_call("update_batch", list(keys), list(values))
 
     # repro: raises(KeyNotFound, ValueError, TypeError)
     def delete(self, key: Key) -> None:
         self.rpc_call("delete", key)
+
+    # repro: raises(KeyNotFound, ValueError, TypeError)
+    def delete_batch(self, keys: Any) -> None:
+        """One owner round-trip for a batch of deletes, applied all or
+        nothing by the owner's table."""
+        self.rpc_call("delete_batch", list(keys))
 
     # -- surface ------------------------------------------------------------
 
@@ -587,31 +595,29 @@ class WorkerPool:
             return self._collect_snapshots(exclude=sender)
         raise ValueError(f"unknown pool RPC {op!r}")
 
-    def _apply_write(self, op: str, args: Tuple[Any, ...]) -> Any:
+    def _apply_write(self, op: str, args: Tuple[Any, ...]) -> None:
         """Apply one worker write under one seqlock transaction.
 
-        The bracket spans the whole logical operation (an insert's repair
-        walk XORs several cells; readers must see none or all of them)
-        and the header republish of every shard's seed and key count, so
-        a reader's stable view always pairs consistent seeds, lengths,
-        and cells.
+        One RPC is one table call: a batch op is the table's own
+        all-or-nothing batch method. The bracket spans the whole logical
+        operation (a repair walk XORs several cells, an undo writes them
+        back; readers must see none or all of them) and the header
+        republish of every shard's seed and key count, so a reader's
+        stable view always pairs consistent seeds, lengths, and cells.
         """
         with write_bracket(self.table):
             if op == "insert":
-                self.table.insert(args[0], args[1])
-                return None
-            if op == "insert_batch":
-                self.table.insert_batch(args[0], args[1])
-                return None
-            if op == "update":
-                self.table.update(args[0], args[1])
-                return None
-            if op == "update_batch":
-                for key, value in zip(args[0], args[1]):
-                    self.table.update(key, value)
-                return len(args[0])
-            self.table.delete(args[0])
-            return None
+                self.table.insert(*args)
+            elif op == "insert_batch":
+                self.table.insert_batch(*args)
+            elif op == "update":
+                self.table.update(*args)
+            elif op == "update_batch":
+                self.table.update_batch(*args)
+            elif op == "delete":
+                self.table.delete(*args)
+            else:
+                self.table.delete_batch(*args)
 
     def _collect_snapshots(self, exclude: int) -> List[Dict[str, Any]]:
         """The *other* workers' metrics snapshots plus the owner table's.

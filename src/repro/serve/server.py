@@ -11,28 +11,30 @@
    hands it to :meth:`TableServer._execute_batch`.
 3. The executor walks the batch **in arrival order**, coalescing each
    consecutive run of same-kind operations into one vectorised table call
-   (lookups concatenate into a single ``lookup_many``; inserts into one
-   ``insert_batch``), then scatters results back to the per-request
+   (lookups concatenate into a single ``lookup_many``; inserts, updates
+   and deletes into one ``insert_batch``/``update_batch``/
+   ``delete_batch``), then scatters results back to the per-request
    futures.
 
 Because the whole pipeline runs on one event loop, the batcher's flush
 loop is the table's single writer — no locks, and safe in front of the
 non-thread-safe ``VisionEmbedder``/``ShardedEmbedder``.
 
-Failure isolation: a coalesced insert run first tries one vectorised
-``insert_batch`` — but only when the table provides one, because its
-all-or-nothing *validation* is what makes the fallback sound: a
-rejected merged call (duplicate key, bad value) applied nothing, so the
-run re-executes request by request and only the offending request
-fails (HTTP 409/400/...), exactly as if it had been served alone.
-:class:`~repro.core.errors.SpaceExhausted` also applies nothing (the
+Failure isolation: every write request is all or nothing. A coalesced
+write run first tries one merged ``<kind>_batch`` call — but only when
+the table provides one, because its all-or-nothing contract is what
+makes the fallback sound: a rejected merged call (duplicate key, absent
+key, bad value) applied nothing, so the run re-executes request by
+request and only the offending request fails (HTTP 409/404/400/...),
+exactly as if it had been served alone.
+:class:`~repro.core.errors.SpaceExhausted` and
+:class:`~repro.core.errors.ReconstructionFailed` also apply nothing (the
 batch rolls itself back), but the merged call is *not* re-executed —
 per-request retries would mostly hit the same wall while repeating the
 walk work — so every coalesced request gets the 507 directly and may
-safely retry once capacity is freed. Tables without
-``insert_batch`` insert per key with no rollback, so their requests
-are never coalesced. Updates and deletes execute per key (no batch
-primitive exists) with the same per-request isolation.
+safely retry once capacity is freed. A table without the batch method
+of a kind writes that kind per key with no rollback, so its requests of
+that kind are never coalesced.
 
 Operational surface: ``/healthz``, ``/stats`` (JSON metrics snapshot +
 latency percentiles), ``/metrics`` (Prometheus text), graceful
@@ -56,7 +58,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core.errors import ReproError, SpaceExhausted
+from repro.core.errors import (
+    ReconstructionFailed,
+    ReproError,
+    SpaceExhausted,
+)
 from repro.obs.exporters import json_snapshot, prometheus_text
 from repro.obs.looplag import LoopLagMonitor
 from repro.obs.registry import (
@@ -113,20 +119,13 @@ class TableServer:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.table = table
-        # insert_batch, when the table has one, is the licence to merge
-        # requests: its validation rejects all-or-nothing (see
-        # _run_inserts). Absent it, inserts run per request only.
-        self._batch_inserter: Optional[Callable[..., Any]] = getattr(
-            table, "insert_batch", None
-        )
-        # update_batch, when present, coalesces one request's updates into
-        # a single table call (the worker-pool table turns it into one
-        # owner round-trip instead of one per key). Same per-request
-        # isolation as the scalar loop: a failure mid-request may leave
-        # that request's earlier keys applied.
-        self._batch_updater: Optional[Callable[..., Any]] = getattr(
-            table, "update_batch", None
-        )
+        # A write kind's batch method, when the table has one, is the
+        # licence to merge requests: it applies all or nothing (see
+        # _run_writes). Absent it, that kind runs per request, per key.
+        self._batch_writers: Dict[str, Optional[Callable[..., Any]]] = {
+            kind: getattr(table, f"{kind}_batch", None)
+            for kind in _RESULT_KEYS
+        }
         # Multi-process hook (see repro.serve.pool): when set, /stats and
         # /metrics await it for the *other* processes' registries and fold
         # them into the merged view, so one scrape covers the whole pool.
@@ -405,10 +404,8 @@ class TableServer:
             kind = batch[index].kind
             if kind == "lookup":
                 results.extend(self._run_lookups(run))
-            elif kind == "insert":
-                results.extend(self._run_inserts(run))
             else:
-                results.extend(self._run_scalar_writes(kind, run))
+                results.extend(self._run_writes(kind, run))
             index = run_end
         return results
 
@@ -425,79 +422,67 @@ class TableServer:
             offset += op.cost
         return out
 
-    def _run_inserts(self, run: List[BatchOp]) -> List[Any]:
-        """Vectorised happy path, per-request fallback on rejection.
+    def _run_writes(self, kind: str, run: List[BatchOp]) -> List[Any]:
+        """One run of insert, update or delete requests: one merged
+        ``<kind>_batch`` call, per-request fallback on rejection.
 
-        The merged fast path is taken only when the table provides
-        ``insert_batch``, whose contract is all-or-nothing for *every*
-        failure — validation rejections and mid-batch ``SpaceExhausted``
-        alike roll the table back to its pre-batch state. A rejected
-        merged call therefore applied nothing, and each request can
-        re-execute alone with only the offender failing.
-        ``SpaceExhausted`` is still never blind-retried: the merged batch
-        failing for space means per-request retries would mostly fail the
-        same way while doing the walk work again, so every coalesced
-        request gets the 507 directly (and, the table being rolled back,
-        a client retry later is safe — no spurious ``DuplicateKey`` for
-        half-landed keys). Tables without ``insert_batch`` insert per key
-        with no rollback, so their requests are never coalesced in the
-        first place.
+        The merged call is tried only when the table provides the batch
+        method, whose contract is all-or-nothing for *every* failure —
+        validation rejections and mid-batch ``SpaceExhausted`` alike leave
+        the table as it was. A rejected merged call therefore applied
+        nothing, and each request re-executes alone with only the
+        offender failing. ``SpaceExhausted`` and ``ReconstructionFailed``
+        are never blind-retried: the merged batch failing for space means
+        per-request retries would mostly fail the same way while doing
+        the walk work again, so every request of the run gets the 507
+        directly (and, none of their keys applied, a client retry later
+        is safe — no spurious ``DuplicateKey`` for half-landed keys).
+        Tables without the batch method write per key with no rollback,
+        so their requests are never merged in the first place.
         """
-        if self._batch_inserter is not None and len(run) > 1:
+        batch_write = self._batch_writers[kind]
+        if batch_write is not None and len(run) > 1:
             merged_keys: List[Any] = []
             merged_values: List[int] = []
             for op in run:
                 merged_keys.extend(op.keys)
                 merged_values.extend(op.values or ())
             try:
-                self._batch_inserter(merged_keys, merged_values)
+                if kind == "delete":
+                    batch_write(merged_keys)
+                else:
+                    batch_write(merged_keys, merged_values)
                 return [op.cost for op in run]
-            except SpaceExhausted as exc:
+            except (SpaceExhausted, ReconstructionFailed) as exc:
                 return [exc for _ in run]
             except (ReproError, ValueError):
                 pass  # all-or-nothing rejection: isolate the offender below
         out: List[Any] = []
         for op in run:
             try:
-                self._insert_pairs(list(op.keys), list(op.values or ()))
-                out.append(op.cost)
-            except (ReproError, ValueError) as exc:
-                out.append(exc)
-        return out
-
-    def _insert_pairs(self, keys: List[Any], values: List[int]) -> None:
-        if self._batch_inserter is not None:
-            self._batch_inserter(keys, values)
-            return
-        for key, value in zip(keys, values):
-            self.table.insert(key, value)
-
-    def _run_scalar_writes(
-        self, kind: str, run: List[BatchOp]
-    ) -> List[Any]:
-        """Updates/deletes: per-key scalar ops, failures isolated per
-        request. A failure mid-request leaves that request's earlier keys
-        applied (documented semantics — the error's detail names the
-        offending key). Updates take the table's ``update_batch`` when it
-        offers one — same semantics, one call per request."""
-        out: List[Any] = []
-        for op in run:
-            try:
-                if kind == "update":
-                    if self._batch_updater is not None:
-                        self._batch_updater(
-                            list(op.keys), list(op.values or ())
-                        )
-                    else:
-                        for key, value in zip(op.keys, op.values or ()):
-                            self.table.update(key, value)
+                if batch_write is None:
+                    self._write_per_key(kind, op)
+                elif kind == "delete":
+                    batch_write(list(op.keys))
                 else:
-                    for key in op.keys:
-                        self.table.delete(key)
+                    batch_write(list(op.keys), list(op.values or ()))
                 out.append(op.cost)
             except (ReproError, ValueError) as exc:
                 out.append(exc)
         return out
+
+    def _write_per_key(self, kind: str, op: BatchOp) -> None:
+        """One request against a table with no batch method for ``kind``:
+        scalar writes, stopping at the first failure."""
+        if kind == "delete":
+            for key in op.keys:
+                self.table.delete(key)
+        elif kind == "update":
+            for key, value in zip(op.keys, op.values or ()):
+                self.table.update(key, value)
+        else:
+            for key, value in zip(op.keys, op.values or ()):
+                self.table.insert(key, value)
 
     # ------------------------------------------------------------------
     # Introspection payloads

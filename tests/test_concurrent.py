@@ -339,6 +339,30 @@ class TestUpdateMutexReentrancy:
             assert table.lookup(key) == value
 
 
+    def test_batch_updates_and_deletes_take_the_update_mutex(self):
+        table = ConcurrentVisionEmbedder(200, 8, seed=3)
+        table.insert_batch(list(range(1, 51)), list(range(50)))
+        entered = []
+        inner = threading.RLock()
+
+        class Recording:
+            def __enter__(self):
+                entered.append(True)
+                return inner.__enter__()
+
+            def __exit__(self, *exc):
+                return inner.__exit__(*exc)
+
+        table.instrument_sync(mutex=Recording())
+        table.update_batch([1, 2], [7, 8])
+        assert len(entered) == 1
+        table.delete_batch([3, 4])
+        assert len(entered) == 2
+        assert table.lookup_many([1, 2]).tolist() == [7, 8]
+        assert 3 not in table
+        table.check_invariants()
+
+
 def _pairs(n, seed):
     rng = random.Random(seed)
     pairs = {}

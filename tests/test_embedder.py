@@ -94,6 +94,120 @@ class TestBasicOperations:
         assert 0 <= result < 256
 
 
+def _state(table):
+    return (table.seed, table._table.to_dense().tobytes(),
+            sorted(table._assistant.pairs()))
+
+
+class TestBatchWrites:
+    """update_batch / delete_batch, and the journal behind every batch."""
+
+    def test_update_batch_matches_sequential_updates(self):
+        batched, pairs = _filled(400, seed=5)
+        sequential, _ = _filled(400, seed=5)
+        keys = list(pairs)[:150]
+        values = [(pairs[k] * 5 + 3) % 256 for k in keys]
+        batched.update_batch(keys, values)
+        for key, value in zip(keys, values):
+            sequential.update(key, value)
+        assert _state(batched) == _state(sequential)
+        assert batched.stats.updates == sequential.stats.updates
+        assert batched.stats.repair_steps == sequential.stats.repair_steps
+        batched.check_invariants()
+
+    def test_delete_batch_matches_sequential_deletes(self):
+        batched, pairs = _filled(300, seed=6)
+        sequential, _ = _filled(300, seed=6)
+        keys = list(pairs)[::3]
+        batched.delete_batch(keys)
+        for key in keys:
+            sequential.delete(key)
+        assert _state(batched) == _state(sequential)
+        assert len(batched) == 300 - len(keys)
+        batched.check_invariants()
+
+    def test_rejected_batches_change_nothing(self):
+        table, pairs = _filled(200, seed=7)
+        keys = list(pairs)[:10]
+        before = _state(table)
+        with pytest.raises(KeyNotFound):
+            table.update_batch(keys + [12345], [1] * 11)
+        with pytest.raises(ValueError):
+            table.update_batch(keys, [1] * 9 + [256])
+        with pytest.raises(ValueError):
+            table.update_batch(keys, [1] * 9)
+        with pytest.raises(KeyNotFound):
+            table.delete_batch(keys + [12345])
+        with pytest.raises(KeyNotFound):  # a second delete finds it gone
+            table.delete_batch(keys + keys[:1])
+        assert _state(table) == before
+        table.update_batch([], [])
+        table.delete_batch([])
+        assert _state(table) == before
+
+    def test_update_batch_applies_a_repeated_key_in_order(self):
+        table, pairs = _filled(200, seed=8)
+        key, other = list(pairs)[:2]
+        table.update_batch([key, other, key], [1, 2, 3])
+        assert table.lookup_many([key, other]).tolist() == [3, 2]
+        table.check_invariants()
+
+    def test_failed_insert_batch_undoes_without_a_snapshot(
+        self, monkeypatch
+    ):
+        table = VisionEmbedder(
+            30, 8, seed=1,
+            config=EmbedderConfig(reconstruct_efficiency_limit=0.3),
+        )
+        table.insert_batch(list(range(1, 11)), list(range(10)))
+        before = _state(table)
+        calls = []
+        original = VisionEmbedder._snapshot_state
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(VisionEmbedder, "_snapshot_state", counted)
+        keys = list(range(100, 160))
+        with pytest.raises(SpaceExhausted):
+            table.insert_batch(keys, [k % 256 for k in keys])
+        assert calls == []
+        assert table.stats.reconstructions == 0
+        assert _state(table) == before
+        table.check_invariants()
+
+    def test_failed_batch_after_a_reconstruction_rolls_back_whole(self):
+        """A reconstruction mid-batch reseeds and rebuilds: the undo goes
+        back to its snapshot, then takes out what the batch wrote before
+        it — seed, cells and pairs all come back."""
+        table = VisionEmbedder(
+            60, 8, seed=1,
+            config=EmbedderConfig(max_repair_steps=5, max_search_attempts=1),
+        )
+        table.insert_batch(list(range(1, 6)), list(range(5)))
+        before = _state(table)
+        keys = list(range(100, 200))
+        with pytest.raises(SpaceExhausted):
+            table.insert_batch(keys, [k % 256 for k in keys])
+        assert table.stats.reconstructions > 0
+        assert _state(table) == before
+        table.check_invariants()
+
+    def test_failed_update_batch_rolls_back(self):
+        table = VisionEmbedder(
+            48, 16, seed=3,
+            config=EmbedderConfig(max_repair_steps=1, max_search_attempts=1,
+                                  auto_reconstruct=False),
+        )
+        table.bulk_load([(k, (k * 31 + 5) % 65536) for k in range(1, 56)])
+        before = _state(table)
+        with pytest.raises(SpaceExhausted):
+            table.update_batch(list(range(1, 56)), [9] * 55)
+        assert _state(table) == before
+        table.check_invariants()
+
+
 class TestKeyTypes:
     def test_str_bytes_int_keys(self):
         table = VisionEmbedder(100, 8, seed=1)

@@ -91,10 +91,10 @@ class TestReplicaConsistency:
         publisher.subscribe(replica.apply)  # snapshot carries full state
         assert replica.state_equals(publisher)
 
-    def test_rolled_back_batch_resyncs_via_snapshot(self):
+    def test_rolled_back_batch_resyncs_via_cell_messages(self):
         """A batch that raises publishes the XORs of its walked prefix,
-        then restores the table densely; the replica must follow the
-        restore, not keep the prefix."""
+        then writes its cells' before-images back; the replica follows
+        the undo from those cell messages, with no snapshot."""
         publisher = PublishingVisionEmbedder(
             30, 8, seed=1,
             config=EmbedderConfig(reconstruct_efficiency_limit=0.3),
@@ -105,10 +105,44 @@ class TestReplicaConsistency:
         pairs = _pairs(40, 8, 2)
         with pytest.raises(SpaceExhausted):
             publisher.insert_batch(list(pairs), list(pairs.values()))
+        assert publisher.stats.reconstructions == 0
         assert replica.messages_applied > 0  # the prefix was published
         assert publisher._table == baseline
         assert replica.state_equals(publisher)
+        assert replica.snapshots_applied == 1  # only the subscription's
+
+    def test_rolled_back_batch_resyncs_via_snapshot(self):
+        """A batch that reconstructs and then raises is undone by a dense
+        restore of the pre-rebuild table, which no cell XOR shows; the
+        replica must follow the restore from a snapshot."""
+        publisher = PublishingVisionEmbedder(
+            60, 8, seed=1,
+            config=EmbedderConfig(max_repair_steps=5, max_search_attempts=1),
+        )
+        replica = DataPlaneReplica()
+        publisher.subscribe(replica.apply)
+        baseline = publisher._table.copy()
+        pairs = _pairs(100, 8, 3)
+        with pytest.raises(SpaceExhausted):
+            publisher.insert_batch(list(pairs), list(pairs.values()))
+        assert publisher.stats.reconstructions > 0
+        assert publisher._table == baseline
+        assert replica.state_equals(publisher)
         assert replica.snapshots_applied >= 2
+
+    def test_update_batch_streams_cell_messages(self):
+        publisher = PublishingVisionEmbedder(200, 8, seed=4)
+        pairs = _pairs(150, 8, 4)
+        publisher.insert_batch(list(pairs), list(pairs.values()))
+        replica = DataPlaneReplica()
+        publisher.subscribe(replica.apply)
+        keys = list(pairs)[:60]
+        publisher.update_batch(keys, [(pairs[k] + 1) % 256 for k in keys])
+        assert replica.messages_applied > 0
+        assert replica.snapshots_applied == 1
+        assert replica.state_equals(publisher)
+        for key in keys:
+            assert replica.lookup(key) == (pairs[key] + 1) % 256
 
     def test_two_replicas_identical(self):
         publisher = PublishingVisionEmbedder(200, 4, seed=6)

@@ -539,7 +539,7 @@ def test_insert_run_space_exhausted_answers_all_without_retry():
         table = _PrefixExhaustingTable()
         server = TableServer(table, ServeConfig())
         run = [BatchOp("insert", ["a"], [1]), BatchOp("insert", ["b"], [2])]
-        results = server._run_inserts(run)
+        results = server._run_writes("insert", run)
         assert table.calls == 1  # exactly the merged attempt, no retry
         assert all(isinstance(r, SpaceExhausted) for r in results)
 
@@ -559,12 +559,129 @@ def test_insert_runs_never_coalesce_without_insert_batch():
             BatchOp("insert", ["a"], [1]),
             BatchOp("insert", ["a", "b"], [2, 3]),
         ]
-        results = server._run_inserts(run)
+        results = server._run_writes("insert", run)
         assert results[0] == 1
         assert isinstance(results[1], DuplicateKey)
         assert table.data == {"a": 1}
 
     asyncio.run(scenario())
+
+
+class _BatchWriteTable:
+    """Records the batch write calls a write run makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def update_batch(self, keys, values):
+        self.calls.append(("update_batch", list(keys), list(values)))
+
+    def delete_batch(self, keys):
+        self.calls.append(("delete_batch", list(keys)))
+
+
+def test_update_and_delete_runs_coalesce_into_one_batch_call():
+    async def scenario():
+        table = _BatchWriteTable()
+        server = TableServer(table, ServeConfig())
+        updates = [BatchOp("update", ["a"], [1]),
+                   BatchOp("update", ["b", "c"], [2, 3])]
+        deletes = [BatchOp("delete", ["a"]), BatchOp("delete", ["b", "c"])]
+        assert server._run_writes("update", updates) == [1, 2]
+        assert server._run_writes("delete", deletes) == [1, 2]
+        assert table.calls == [
+            ("update_batch", ["a", "b", "c"], [1, 2, 3]),
+            ("delete_batch", ["a", "b", "c"]),
+        ]
+
+    asyncio.run(scenario())
+
+
+def _lopsided_table():
+    """Two strict shards: shard 0 sparse, shard 1 dense, so an insert into
+    shard 1 runs out of space within a few keys (see test_sharded)."""
+    from repro.core.config import EmbedderConfig
+
+    strict = EmbedderConfig(
+        max_repair_steps=1, max_search_attempts=1, auto_reconstruct=False
+    )
+    table = ShardedEmbedder(48, 16, num_shards=2, seed=3, config=strict)
+    loaded = _routed(table, 0, 1, 6) + _routed(table, 1, 1, 40)
+    table.bulk_load([(key, (key * 31 + 5) % 65536) for key in loaded])
+    return table
+
+
+def _routed(table, shard, start, count):
+    keys = []
+    key = start
+    while len(keys) < count:
+        if table.shard_of(key) == shard:
+            keys.append(key)
+        key += 1
+    return keys
+
+
+def test_coalesced_507_leaves_no_key_and_a_retry_lands():
+    """Two insert requests coalesced into one run over a sharded table:
+    the run runs out of space in the last shard it touches, both requests
+    get the 507, neither leaves a key behind — so once space is freed
+    both retries land, with no 409 for a half-applied first attempt."""
+    table = _lopsided_table()
+    sparse = _routed(table, 0, 1000, 3)
+    dense = _routed(table, 1, 1000, 3)
+
+    async def scenario(server, table):
+        async with AsyncServeClient(port=server.port) as c1, \
+                AsyncServeClient(port=server.port) as c2:
+            first = await asyncio.gather(
+                c1.insert([(key, 7) for key in sparse]),
+                c2.insert([(key, 8) for key in dense]),
+                return_exceptions=True,
+            )
+            assert all(isinstance(r, SpaceExhausted) for r in first)
+            assert len(table) == 46
+            assert not any(key in table for key in sparse + dense)
+            await c1.delete(_routed(table, 1, 1, 30))
+            assert await c1.insert([(key, 7) for key in sparse]) == 3
+            assert await c2.insert([(key, 8) for key in dense]) == 3
+            assert await c1.lookup(sparse + dense) == [7] * 3 + [8] * 3
+
+    run_with_server(scenario, table=table,
+                    config=ServeConfig(batch_window_ms=50.0))
+
+
+def test_failing_update_or_delete_request_applies_none_of_its_keys():
+    async def scenario(server, table):
+        async with AsyncServeClient(port=server.port) as client:
+            await client.insert([(1, 10), (2, 20), (3, 30)])
+            with pytest.raises(KeyNotFound):
+                await client.update([(1, 11), (2, 21), ("ghost", 1)])
+            assert await client.lookup([1, 2, 3]) == [10, 20, 30]
+            with pytest.raises(KeyNotFound):
+                await client.delete([1, 2, "ghost"])
+            assert len(table) == 3
+            assert await client.update([(1, 11), (2, 21)]) == 2
+            assert await client.delete([3]) == 1
+            assert await client.lookup([1, 2]) == [11, 21]
+
+    run_with_server(scenario)
+
+
+def test_coalesced_update_run_isolates_the_offender():
+    async def scenario(server, table):
+        async with AsyncServeClient(port=server.port) as c1, \
+                AsyncServeClient(port=server.port) as c2:
+            await c1.insert([(1, 10), (2, 20)])
+            good, bad = await asyncio.gather(
+                c1.update([(1, 11)]),
+                c2.update([(2, 21), ("ghost", 1)]),
+                return_exceptions=True,
+            )
+            assert good == 1
+            assert isinstance(bad, KeyNotFound)
+            assert await c1.lookup([1, 2]) == [11, 20]
+
+    run_with_server(scenario, config=ServeConfig(batch_window_ms=20.0))
 
 
 def test_server_mixed_kind_batch_preserves_arrival_order():

@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.core.errors import KeyNotFound
 from repro.core.sharded import ShardedEmbedder
 from repro.core.shared_planes import SharedPlanes, SharedTableSpec
 from repro.obs import (
@@ -189,6 +190,52 @@ class TestRpc:
             worker.close()
             planes.destroy()
         assert not service.is_alive()
+
+
+    def test_batch_writes_are_one_rpc_and_all_or_nothing(self):
+        """A 16-key delete is one owner round-trip, and a batch the owner
+        rejects applies none of its keys."""
+        table = _make_table(keys=100, shards=4)
+        owner_end, worker_end = multiprocessing.Pipe(duplex=True)
+        pool = WorkerPool(table, workers=1)
+        pool._rpc_conns = [owner_end]
+        ops = []
+        handle = pool._handle_rpc
+
+        def recording(message, sender):
+            ops.append(message[0])
+            return handle(message, sender)
+
+        pool._handle_rpc = recording
+        service = threading.Thread(target=pool._service_loop, daemon=True)
+        service.start()
+        planes = SharedPlanes.create(8, 8, 3)
+        spec = SharedTableSpec(
+            planes=planes.spec, shard_seed=0, value_bits=16, capacity=0
+        )
+        worker = WorkerTable(spec, worker_end)
+        try:
+            worker.delete_batch(list(range(16)))
+            assert ops == ["delete_batch"]
+            assert len(table) == 84
+            with pytest.raises(KeyNotFound):
+                worker.delete_batch([20, 21, 5])  # 5 is gone already
+            with pytest.raises(KeyNotFound):
+                worker.update_batch([30, 31, 7], [1, 2, 3])
+            assert ops == ["delete_batch"] * 2 + ["update_batch"]
+            assert len(table) == 84
+            assert 20 in table and 21 in table
+            assert table.lookup_many([30, 31]).tolist() == [
+                (k * 13 + 7) % 65536 for k in (30, 31)
+            ]
+        finally:
+            pool._service_stop.set()
+            service.join(timeout=5.0)
+            owner_end.close()
+            worker_end.close()
+            worker.close()
+            planes.destroy()
+        table.check_invariants()
 
 
 class TestSnapshotRoundTrip:

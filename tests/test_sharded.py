@@ -23,7 +23,13 @@ from repro.core import (
     load_sharded,
     save_sharded,
 )
-from repro.core.errors import DuplicateKey
+from repro.core.config import EmbedderConfig
+from repro.core.errors import (
+    DuplicateKey,
+    KeyNotFound,
+    ReconstructionFailed,
+    SpaceExhausted,
+)
 from repro.core.sharded import route_handles
 from repro.core.shared_planes import share_table, unshare_table
 from repro.factory import make_table
@@ -251,6 +257,172 @@ class TestParallelBuild:
         assert np.array_equal(
             table.lookup_batch(keys), static.lookup_batch(keys)
         )
+
+
+def _shard_keys(table, shard, start, count):
+    """The first ``count`` keys from ``start`` on routed to ``shard``."""
+    keys = []
+    key = start
+    while len(keys) < count:
+        if table.shard_of(key) == shard:
+            keys.append(key)
+        key += 1
+    return keys
+
+
+def _shard_states(table):
+    """Per shard: seed, plane bytes and sorted pairs."""
+    return [
+        (shard.seed, shard._table.to_dense().tobytes(),
+         sorted(shard._assistant.pairs()))
+        for shard in table.shards
+    ]
+
+
+#: One repair step per walk, no reconstruction: a write into a densely
+#: loaded shard fails with SpaceExhausted once its key has no cell of its
+#: own — deterministically, at a size a test can afford.
+_STRICT = EmbedderConfig(
+    max_repair_steps=1, max_search_attempts=1, auto_reconstruct=False
+)
+
+
+def _lopsided_table():
+    """Two shards: shard 0 holds 6 keys, shard 1 is dense (40 keys in 84
+    cells), so writes into shard 1 run out of space within a few keys."""
+    table = ShardedEmbedder(48, 16, num_shards=2, seed=3, config=_STRICT)
+    keys = _shard_keys(table, 0, 1, 6) + _shard_keys(table, 1, 1, 40)
+    table.bulk_load([(key, (key * 31 + 5) % 65536) for key in keys])
+    return table
+
+
+class TestAllOrNothing:
+    """Every multi-key write applies whole or not at all, across shards."""
+
+    def test_space_exhausted_in_one_shard_leaves_every_shard(self):
+        table = ShardedEmbedder(2000, 16, num_shards=4, seed=1)
+        table.bulk_load((k, k % 65536) for k in range(1, 1601))
+        before = _shard_states(table)
+        early = _shard_keys(table, 0, 10_000, 10)
+        keys = early + _shard_keys(table, 3, 20_000, 600)
+        with pytest.raises(SpaceExhausted):
+            table.insert_batch(keys, [k % 65536 for k in keys])
+        assert len(table) == 1600
+        assert not any(key in table for key in early)
+        assert _shard_states(table) == before
+        table.check_invariants()
+
+    def test_failed_batch_undoes_without_a_snapshot(self, monkeypatch):
+        """With no reconstruction the undo is the journal's O(batch)
+        before-images: no shard is snapshotted, before or after."""
+        table = _lopsided_table()
+        before = _shard_states(table)
+        calls = []
+        original = VisionEmbedder._snapshot_state
+
+        def counted(shard):
+            calls.append(shard)
+            return original(shard)
+
+        monkeypatch.setattr(VisionEmbedder, "_snapshot_state", counted)
+        keys = (_shard_keys(table, 0, 1000, 8)
+                + _shard_keys(table, 1, 1000, 8))
+        with pytest.raises(SpaceExhausted):
+            table.insert_batch(keys, [7] * 16)
+        assert calls == []
+        assert table.stats.reconstructions == 0
+        assert _shard_states(table) == before
+        table.check_invariants()
+
+    def test_failed_update_batch_rolls_back_every_shard(self):
+        table = _lopsided_table()
+        before = _shard_states(table)
+        keys = _shard_keys(table, 0, 1, 2) + _shard_keys(table, 1, 1, 7)
+        with pytest.raises(SpaceExhausted):
+            table.update_batch(keys, [9] * len(keys))
+        assert _shard_states(table) == before
+        table.check_invariants()
+
+    def test_thread_build_rolls_back_every_shard(self):
+        table = _lopsided_table()
+        before = _shard_states(table)
+        keys = (_shard_keys(table, 0, 1000, 3)
+                + _shard_keys(table, 1, 1000, 3))
+        with pytest.raises(SpaceExhausted):
+            table.build([(key, 7) for key in keys], workers=2)
+        assert _shard_states(table) == before
+
+    def test_static_build_rolls_back_every_shard(self):
+        """Shard 0 peels, shard 1 is overfull and never does: the whole
+        bulk load is undone, shard 0 from its pre-call snapshot."""
+        table = ShardedEmbedder(48, 16, num_shards=2, seed=3)
+        table.insert_batch([1, 2], [1, 2])
+        before = _shard_states(table)
+        cells = table.shards[1].num_cells
+        keys = (_shard_keys(table, 0, 100, 3)
+                + _shard_keys(table, 1, 100, cells + 6))
+        with pytest.raises(ReconstructionFailed):
+            table.bulk_load((key, 5) for key in keys)
+        assert _shard_states(table) == before
+        table.check_invariants()
+
+    def test_update_and_delete_batches_validate_across_shards(self):
+        table = ShardedEmbedder(200, 8, num_shards=4, seed=2)
+        keys = list(range(1, 41))
+        table.insert_batch(keys, [k % 256 for k in keys])
+        before = _shard_states(table)
+        with pytest.raises(KeyNotFound):
+            table.update_batch(keys[:30] + [999], [1] * 31)
+        with pytest.raises(ValueError):
+            table.update_batch([1, 2], [1, 256])
+        with pytest.raises(KeyNotFound):
+            table.delete_batch(keys[:30] + [999])
+        with pytest.raises(KeyNotFound):
+            table.delete_batch([3, 4, 3])
+        assert _shard_states(table) == before
+        table.update_batch([1, 2, 1], [1, 2, 3])
+        assert table.lookup_many([1, 2]).tolist() == [3, 2]
+        table.update_batch(keys[:20], [7] * 20)
+        table.delete_batch(keys[20:])
+        assert len(table) == 20
+        assert table.lookup_many(keys[:20]).tolist() == [7] * 20
+        table.check_invariants()
+
+    def test_batches_match_per_key_writes(self):
+        pairs = _pairs(600, 12, seed=3)
+        keys = [key for key, _ in pairs]
+        per_key = ShardedEmbedder(800, 12, num_shards=4, seed=6)
+        batched = ShardedEmbedder(800, 12, num_shards=4, seed=6)
+        for table in (per_key, batched):
+            table.insert_batch(keys, [value for _, value in pairs])
+        new_values = [(v * 7 + 1) % 4096 for _, v in pairs[:300]]
+        for key, value in zip(keys, new_values):
+            per_key.update(key, value)
+        for key in keys[300:450]:
+            per_key.delete(key)
+        batched.update_batch(keys[:300], new_values)
+        batched.delete_batch(keys[300:450])
+        assert _shard_states(per_key) == _shard_states(batched)
+        assert per_key.stats.updates == batched.stats.updates
+
+    def test_key_arrays_are_canonicalised_whole(self, monkeypatch):
+        import repro.hashing.family as family
+
+        calls = []
+        original = family.key_to_u64
+
+        def counted(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(family, "key_to_u64", counted)
+        table = ShardedEmbedder(4000, 16, num_shards=4, seed=1)
+        keys = np.arange(1, 3001, dtype=np.uint64)
+        table.insert_batch(keys, (keys % 65536).tolist())
+        table.update_batch(keys[:1000], np.full(1000, 3, dtype=np.uint64))
+        table.delete_batch(keys[1000:2000])
+        assert calls == []
+        assert len(table) == 2000
 
 
 class TestConstruction:

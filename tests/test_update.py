@@ -11,12 +11,38 @@ from repro.core.errors import UpdateFailure
 from repro.core.update import (
     SimpleStrategy,
     VisionStrategy,
-    eager_update,
+    _run_repair_walk,
     find_update_path,
     make_strategy,
 )
 from repro.core.value_table import ValueTable
 from repro.hashing import HashFamily
+
+
+def eager_update(table, assistant, key, strategy, space_efficiency,
+                 max_steps, hooks=None):
+    """Algorithm 1/2 executed directly: rewrite cells during the walk.
+
+    The executable specification the library's deferred mode is checked
+    against. Returns the number of repair steps; on UpdateFailure the
+    table keeps its partial writes (the paper reconstructs then). Every
+    broken equation in the walk is off by exactly the initial discrepancy
+    ``V_delta``, so the rewrite is the same XOR the deferred plan applies.
+    """
+    v_delta = table.xor_sum(assistant.cells(key)) ^ assistant.value(key)
+    if v_delta == 0:
+        return 0
+
+    def check_consistent(current, cells):
+        return table.xor_sum(cells) == assistant.value(current)
+
+    def modify(cell):
+        table.xor(cell, v_delta)
+
+    return _run_repair_walk(
+        check_consistent, modify, assistant, key, strategy,
+        space_efficiency, max_steps, hooks,
+    )
 
 
 def _cells_for(family, key):
