@@ -10,10 +10,10 @@ mixed concurrent read+write traffic the serving layer exists for.
 
 Two legs run the identical workload:
 
-- ``batched`` — the default :class:`~repro.serve.ServeConfig`: requests
-  queue for up to ``--window-ms`` (or until ``max_batch`` key-ops are
-  pending) and one fused ``lookup_many``/scalar-write pass answers the
-  whole batch.
+- ``batched`` — the default :class:`~repro.serve.ServeConfig`: whatever
+  requests queue while one batch executes (up to ``max_batch`` key-ops)
+  flush together as the next, and one fused ``lookup_many``/batch-write
+  pass answers the whole batch.
 - ``unbatched`` — ``ServeConfig.unbatched()``: every request becomes its
   own table call; this is the per-request baseline the batching win is
   measured against.
@@ -416,8 +416,7 @@ async def run_benchmark(args: argparse.Namespace) -> dict:
     n_keys = 5_000 if args.smoke else 50_000
     duration_s = 1.0 if args.smoke else 5.0
     table = make_table(n_keys)
-    batched_config = ServeConfig(
-        batch_window_ms=args.window_ms, max_batch=args.max_batch)
+    batched_config = ServeConfig(max_batch=args.max_batch)
 
     legs: dict = {}
     registries = {}
@@ -448,9 +447,6 @@ def main(argv=None) -> int:
                         help="concurrent closed-loop clients (default 32)")
     parser.add_argument("--keys-per-request", type=int, default=32,
                         help="keys per client request (default 32)")
-    parser.add_argument("--window-ms", type=float, default=1.0,
-                        help="micro-batch window for the batched leg "
-                             "(default 1.0)")
     parser.add_argument("--max-batch", type=int, default=1024,
                         help="batched-leg flush size in key-ops "
                              "(default 1024)")
@@ -478,7 +474,7 @@ def main(argv=None) -> int:
 
     gates = dict(SMOKE_GATES if args.smoke else FULL_GATES)
     print(f"serve benchmark: clients={args.clients} smoke={args.smoke} "
-          f"window={args.window_ms}ms keys/request={args.keys_per_request} "
+          f"keys/request={args.keys_per_request} "
           f"write_fraction={WRITE_FRACTION} cpu_cores={CPU_CORES} "
           f"workers={args.workers}")
     result = asyncio.run(run_benchmark(args))
@@ -496,8 +492,7 @@ def main(argv=None) -> int:
             "full" if CPU_CORES >= 4 and args.workers >= 4 else "degraded"
         )
         table = make_table(n_keys)
-        pool_config = ServeConfig(
-            batch_window_ms=args.window_ms, max_batch=args.max_batch)
+        pool_config = ServeConfig(max_batch=args.max_batch)
         for count in (1, args.workers):
             name = f"workers{count}"
             if name in legs:

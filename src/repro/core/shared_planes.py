@@ -268,12 +268,14 @@ class SharedPlanes:
             # registration). A ``numpy.memmap`` dies quietly with its last
             # view, so a handle abandoned mid-teardown never refuses to
             # close at GC the way an mmap with exported buffer pointers
-            # does.
+            # does. Every view is a plain ndarray whose base keeps the
+            # memmap alive: ``memmap.__getitem__`` is Python-level, and
+            # the owner's scalar cell reads and writes would pay it.
             path = os.path.join("/dev/shm", shm.name)
             if os.path.exists(path):
                 shm.close()
-                mapped = np.memmap(path, dtype=_U64, mode="r+")
-                full = cast(npt.NDArray[np.uint64], mapped)
+                full = np.memmap(path, dtype=_U64, mode="r+").view(
+                    np.ndarray)
             else:  # pragma: no cover - non-tmpfs platforms
                 full = np.frombuffer(shm.buf, dtype=_U64)
             header = full[:header_words]
@@ -316,8 +318,8 @@ class SharedPlanes:
         shm: Optional[shared_memory.SharedMemory] = None
         if os.path.exists(path):
             mode = "r+" if writable else "r"
-            mapped = np.memmap(path, dtype=_U64, mode=mode)
-            full = cast(npt.NDArray[np.uint64], mapped)
+            # A plain ndarray view, as in create().
+            full = np.memmap(path, dtype=_U64, mode=mode).view(np.ndarray)
         else:  # pragma: no cover - non-tmpfs platforms
             shm = shared_memory.SharedMemory(name=spec.name)
             try:

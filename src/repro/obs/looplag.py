@@ -45,8 +45,9 @@ class LoopLagMonitor:
 
     ``interval_s`` is both the sampling period and the sensitivity floor:
     a stall shorter than the interval can fall between two sentinels.
-    5 ms (the default) matches the serve layer's batch window, so any
-    batch execution that would delay a *peer* request is observable.
+    5 ms (the default) is on the order of one full 1024-key served
+    batch's execution, so any batch execution that would delay a *peer*
+    request is observable.
 
     Lifecycle mirrors the micro-batcher: construct eagerly (the histogram
     registers immediately, so exports are stable even before ``start``),

@@ -47,8 +47,8 @@ RECONSTRUCT_SECONDS_BUCKETS: Tuple[Number, ...] = (
     0.001, 0.01, 0.1, 1.0, 10.0, 60.0,
 )
 #: Request-latency bounds for the serving layer (repro.serve): sub-ms
-#: resolution around the micro-batch window, tailing off at multi-second
-#: outliers so a stalled drain still lands in a finite bucket.
+#: resolution around a small request's service time, tailing off at
+#: multi-second outliers so a stalled drain still lands in a finite bucket.
 LATENCY_SECONDS_BUCKETS: Tuple[Number, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 10.0,

@@ -2,11 +2,11 @@
 
 An asyncio HTTP/JSON front (:class:`TableServer`) that funnels concurrent
 client requests into the table's vectorised batch paths via
-micro-batching: operations queue until ``max_batch`` key-ops are pending
-or a ``batch_window_ms`` window expires, then one fused table call
-answers them all (:class:`MicroBatcher`). Admission control sheds work
-beyond a bounded queue (HTTP 429, :class:`Overloaded`), and graceful
-shutdown drains every accepted operation before disconnecting.
+micro-batching: whatever operations queue while one batch executes —
+up to ``max_batch`` key-ops — flush together as the next, and one fused
+table call answers them all (:class:`MicroBatcher`). Admission control
+sheds work beyond a bounded queue (HTTP 429, :class:`Overloaded`), and
+graceful shutdown drains every accepted operation before disconnecting.
 
 This is the ROADMAP's "millions of users" front: the table ops were
 already fast *in batch*; this layer keeps them batched under concurrent

@@ -8,7 +8,7 @@ through a deployment, including the Prometheus scrape config for
 Examples::
 
     python -m repro.serve --capacity 1000000 --value-bits 16 --port 8321
-    python -m repro.serve --load table.npz --shards 8 --window-ms 0.5
+    python -m repro.serve --load table.npz --shards 8 --max-batch 2048
 """
 
 from __future__ import annotations
@@ -51,10 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--load", metavar="NPZ", default=None,
                         help="restore a save_sharded/save_embedder snapshot "
                              "instead of starting empty")
-    parser.add_argument("--window-ms", type=float, default=1.0,
-                        help="micro-batch window in ms (default 1.0)")
     parser.add_argument("--max-batch", type=int, default=1024,
-                        help="flush at this many queued key-ops "
+                        help="the most key-ops one flush takes "
                              "(default 1024)")
     parser.add_argument("--max-queue", type=int, default=8192,
                         help="shed (429) beyond this many queued key-ops "
@@ -96,8 +94,8 @@ async def _serve(table: ValueOnlyTable, config: ServeConfig) -> None:
     server = TableServer(table, config)
     await server.start()
     print(f"repro.serve listening on http://{config.host}:{server.port} "
-          f"(keys={len(table)}, window={config.batch_window_ms}ms, "
-          f"max_batch={config.max_batch}, max_queue={config.max_queue})")
+          f"(keys={len(table)}, max_batch={config.max_batch}, "
+          f"max_queue={config.max_queue})")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -115,8 +113,7 @@ def _serve_pool(table: ValueOnlyTable, config: ServeConfig,
     pool.start()
     print(f"repro.serve pool listening on "
           f"http://{config.host}:{pool.port} (workers={workers}, "
-          f"socket={pool.socket_mode}, keys={len(table)}, "
-          f"window={config.batch_window_ms}ms)")
+          f"socket={pool.socket_mode}, keys={len(table)})")
     stop = threading.Event()
 
     def _on_signal(signum: int, frame: object) -> None:
@@ -135,8 +132,7 @@ def _serve_pool(table: ValueOnlyTable, config: ServeConfig,
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     config = ServeConfig(
-        host=args.host, port=args.port,
-        batch_window_ms=args.window_ms, max_batch=args.max_batch,
+        host=args.host, port=args.port, max_batch=args.max_batch,
         max_queue=args.max_queue, loop_lag_interval_ms=args.loop_lag_ms,
     )
     if args.no_batching:

@@ -3,11 +3,13 @@
 The serving problem this solves: the table's batch primitives
 (``lookup_batch``/``insert_batch``) amortise per-call Python overhead over
 thousands of keys, but network clients arrive one small request at a time.
-:class:`MicroBatcher` funnels concurrent requests into batches — an
-operation queues until either ``max_batch`` key-operations are pending or
-the *oldest* queued operation has waited ``batch_window_ms`` — then one
-handler call executes the whole batch and each result is scattered back to
-its awaiting future.
+:class:`MicroBatcher` funnels concurrent requests into batches by group
+commit: the flush loop takes whatever is queued — up to ``max_batch``
+key-operations, whole requests only — as soon as the previous batch is
+done, and one handler call executes it, scattering each result back to
+its awaiting future. Nothing waits on a timer: a lone request flushes on
+the next event-loop turn, and requests that arrive while a batch executes
+form the next batch, so batches grow with load on their own.
 
 Three properties the server (and the tests) rely on:
 
@@ -22,8 +24,8 @@ Three properties the server (and the tests) rely on:
   when the queue is empty, so ``max_batch``-sized requests cannot
   deadlock.)
 - **Graceful drain.** ``close()`` stops admissions (:class:`BatcherClosed`)
-  and executes everything already queued — ignoring the window, batch by
-  batch — before returning, so an orderly shutdown loses no accepted work.
+  and executes everything already queued, batch by batch, before
+  returning, so an orderly shutdown loses no accepted work.
 
 The batcher is asyncio-single-threaded: the handler runs inline on the
 event loop (table calls are synchronous numpy), which is also what makes
@@ -87,31 +89,26 @@ class MicroBatcher:
     """Collect :class:`BatchOp`\\ s and flush them through ``handler``.
 
     Parameters mirror :class:`repro.serve.config.ServeConfig`:
-    ``max_batch`` and ``max_queue`` are in key-operations, ``window_s``
-    is the oldest-op hold time in seconds. Create it on a running event
-    loop; ``start()`` is implicit on first ``submit``.
+    ``max_batch`` (the most key-ops one flush takes) and ``max_queue``
+    are in key-operations. Create it on a running event loop; the flush
+    task starts on the first ``submit``.
     """
 
     def __init__(
         self,
         handler: BatchHandler,
         max_batch: int = 1024,
-        window_s: float = 0.001,
         max_queue: int = 8192,
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue < max_batch:
             raise ValueError("max_queue must be >= max_batch")
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         self._handler = handler
         self.max_batch = max_batch
-        self.window_s = window_s
         self.max_queue = max_queue
         self._queue: Deque[BatchOp] = deque()
         self._depth = 0
-        self._deadlines: Deque[float] = deque()
         self._arrived = asyncio.Event()
         self._closing = False
         self._task: Optional["asyncio.Task[None]"] = None
@@ -154,11 +151,9 @@ class MicroBatcher:
                 f"bound {self.max_queue}"
             )
         self._ensure_running()
-        loop = asyncio.get_running_loop()
         if op.future.done():  # pragma: no cover - defensive re-submission
             raise ValueError("BatchOp already resolved")
         self._queue.append(op)
-        self._deadlines.append(loop.time() + self.window_s)
         self._depth += op.cost
         self._arrived.set()
         return await op.future
@@ -188,7 +183,6 @@ class MicroBatcher:
             if batch and cost > budget:
                 break
             batch.append(self._queue.popleft())
-            self._deadlines.popleft()
             self._depth -= cost
             budget -= cost
             if budget <= 0:
@@ -222,7 +216,6 @@ class MicroBatcher:
                 op.future.set_result(result)
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
                 if self._closing:
@@ -233,21 +226,10 @@ class MicroBatcher:
                 if not self._queue and not self._closing:
                     await self._arrived.wait()
                 continue
-            # Hold until the batch fills or the oldest op's window expires.
-            # close() skips straight to draining.
-            while (not self._closing
-                   and self._depth < self.max_batch):
-                remaining = self._deadlines[0] - loop.time()
-                if remaining <= 0:
-                    break
-                self._arrived.clear()
-                try:
-                    await asyncio.wait_for(self._arrived.wait(), remaining)
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
             self._execute(self._take_batch())
-            # Yield once per flush so responses write out between batches
-            # even under continuous arrival pressure.
+            # The group-commit point: yield once per flush, so responses
+            # write out and whatever arrives meanwhile queues up as the
+            # next batch.
             await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
@@ -257,8 +239,8 @@ class MicroBatcher:
     async def close(self, timeout_s: Optional[float] = None) -> None:
         """Stop admissions and drain the queue.
 
-        Everything already queued executes (batch by batch, windows
-        ignored); new ``submit`` calls raise :class:`BatcherClosed`.
+        Everything already queued executes, batch by batch; new
+        ``submit`` calls raise :class:`BatcherClosed`.
         With a ``timeout_s`` the drain is abandoned after that long and
         still-queued ops fail with :class:`BatcherClosed`. Idempotent.
         """
@@ -288,4 +270,3 @@ class MicroBatcher:
                 op.future.set_exception(
                     BatcherClosed("shutdown drain abandoned this operation")
                 )
-        self._deadlines.clear()

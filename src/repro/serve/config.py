@@ -21,19 +21,12 @@ class ServeConfig:
         Listen address. ``port=0`` binds an ephemeral port (the server
         reports the real one as ``server.port`` once started) — the tests,
         docs fences, and the benchmark all rely on this.
-    batch_window_ms:
-        How long the micro-batcher holds the *oldest* queued operation
-        while waiting for the batch to fill, in milliseconds. The paper's
-        constant-lookup claim means per-key work is cheap once batched;
-        the window trades that batching win against added latency, so keep
-        it at or below the latency budget's p50 headroom (default 1 ms).
-        ``0`` flushes as soon as the event loop drains the current batch
-        of arrivals (still coalescing whatever arrived together).
     max_batch:
-        Flush as soon as this many key-operations are queued, without
-        waiting out the window. Bounds the numpy working set per table
-        call; one oversized request still flushes alone rather than being
-        rejected.
+        The most key-operations one flush takes. The micro-batcher
+        flushes whatever is queued as soon as the previous batch is done
+        (group commit), so this bounds the numpy working set per table
+        call, not a wait; one oversized request still flushes alone
+        rather than being rejected.
     max_queue:
         Admission control: the maximum number of queued key-operations.
         A request that would push the queue past this bound is *shed* —
@@ -51,14 +44,13 @@ class ServeConfig:
         server installs (the ``repro_serve_loop_lag_seconds`` histogram).
         It is also the sensitivity floor — stalls shorter than the
         interval may fall between sentinels — so keep it at or below
-        ``batch_window_ms`` plus the expected batch execution time.
+        the expected execution time of a full batch.
         ``0`` disables the monitor entirely (the histogram still
         registers, empty, so exports keep a stable schema).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_ms: float = 1.0
     max_batch: int = 1024
     max_queue: int = 8192
     drain_timeout_s: float = 5.0
@@ -66,8 +58,6 @@ class ServeConfig:
     loop_lag_interval_ms: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_queue < 1:
@@ -82,15 +72,9 @@ class ServeConfig:
             raise ValueError("loop_lag_interval_ms must be >= 0")
 
     def unbatched(self) -> "ServeConfig":
-        """This config with micro-batching off: zero window and
-        ``max_batch=1``, so every flush takes exactly one request (the
-        batcher never splits a request, so one key-op of budget means
-        one-request batches). Admission control keeps its bound. The
-        benchmark's per-request baseline leg — and a debugging escape
-        hatch."""
-        return replace(self, batch_window_ms=0.0, max_batch=1)
-
-    @property
-    def batch_window_s(self) -> float:
-        """The window in seconds (the event loop's unit)."""
-        return self.batch_window_ms / 1000.0
+        """This config with micro-batching off: ``max_batch=1``, so every
+        flush takes exactly one request (the batcher never splits a
+        request, so one key-op of budget means one-request batches).
+        Admission control keeps its bound. The benchmark's per-request
+        baseline leg — and a debugging escape hatch."""
+        return replace(self, max_batch=1)

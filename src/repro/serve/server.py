@@ -6,8 +6,8 @@
 
 1. A connection task parses one HTTP/JSON request (keep-alive, pipelined
    requests served in order) and submits its operations to the batcher.
-2. The batcher's flush loop gathers concurrent requests into one batch —
-   until ``max_batch`` key-ops or the ``batch_window_ms`` expiry — and
+2. The batcher's flush loop takes whatever requests queued while the
+   previous batch ran — up to ``max_batch`` key-ops — as one batch and
    hands it to :meth:`TableServer._execute_batch`.
 3. The executor walks the batch **in arrival order**, coalescing each
    consecutive run of same-kind operations into one vectorised table call
@@ -137,7 +137,6 @@ class TableServer:
         self._batcher = MicroBatcher(
             self._execute_batch,
             max_batch=self.config.max_batch,
-            window_s=self.config.batch_window_s,
             max_queue=self.config.max_queue,
         )
         self._server: Optional[asyncio.AbstractServer] = None

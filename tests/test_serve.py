@@ -5,11 +5,14 @@ has no async plugin, and a fresh loop per test is also the isolation the
 batcher's lazily-started flush task wants):
 
 - :class:`MicroBatcher` in isolation against a recording handler — the
-  ordering, admission-control, window-expiry, and drain guarantees its
-  docstring promises, including the edge cases (single op flushed by
-  window expiry, oversized op admitted on an empty queue, shutdown
-  mid-batch draining accepted work, a handler raise failing the whole
-  batch but only that batch).
+  ordering, admission-control, group-commit, and drain guarantees its
+  docstring promises, including the edge cases (a lone op flushed within
+  a few loop turns with no timer, ops queued during a batch flushing
+  together as the next, oversized op admitted on an empty queue,
+  shutdown mid-batch draining accepted work, a handler raise failing the
+  whole batch but only that batch). Co-batching is pinned by scheduling,
+  not by a knob: ``asyncio.gather`` of several ``submit`` calls queues
+  every op before the flush task the first one creates gets to run.
 - The wire protocol's pure functions — body validation, the
   exception ↔ status-code table round-tripping both directions, HTTP
   framing parsers against hand-built byte streams.
@@ -17,7 +20,9 @@ batcher's lazily-started flush task wants):
   driven by the async client (and :class:`ServerThread` by the sync
   client): end-to-end operations, per-request error isolation inside a
   coalesced batch, 429 shedding, the observability endpoints, and
-  graceful shutdown answering everything it accepted.
+  graceful shutdown answering everything it accepted. Requests that must
+  share one batch are pinned with :class:`FlushGate`, which holds the
+  server batcher's next flush until enough ops are queued.
 """
 
 import asyncio
@@ -88,35 +93,60 @@ class RecordingHandler:
         return [list(op.keys) for op in batch]
 
 
-def test_batcher_single_op_flushed_by_window_expiry():
-    """One lone op must not wait for a full batch — the window flushes it."""
+def test_batcher_lone_op_flushes_within_a_few_loop_turns():
+    """Group commit holds nothing: a lone op is answered after a few
+    ``asyncio.sleep(0)`` turns, with no timer to wait out."""
     async def scenario():
         handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=1024, window_s=0.005)
-        result = await batcher.submit(BatchOp("lookup", [1, 2, 3]))
-        assert result == [1, 2, 3]
+        batcher = MicroBatcher(handler)
+        pending = asyncio.ensure_future(
+            batcher.submit(BatchOp("lookup", [1, 2, 3])))
+        for _ in range(5):
+            await asyncio.sleep(0)
+            if pending.done():
+                break
+        assert pending.done()
+        assert pending.result() == [1, 2, 3]
         assert handler.batches == [[("lookup", [1, 2, 3])]]
-        await batcher.close()
-
-    asyncio.run(scenario())
-
-
-def test_batcher_zero_window_flushes_immediately():
-    async def scenario():
-        handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=1024, window_s=0.0)
-        assert await batcher.submit(BatchOp("lookup", [9])) == [9]
         assert batcher.batches_flushed == 1
         await batcher.close()
 
     asyncio.run(scenario())
 
 
+def test_batcher_ops_queued_during_a_batch_flush_together_next():
+    """Ops submitted while a batch executes form the next batch, whole
+    and in arrival order."""
+    async def scenario():
+        batches = []
+        later = []
+
+        def handler(batch):
+            batches.append([list(op.keys) for op in batch])
+            if len(batches) == 1:
+                # Arrivals during this batch: they queue once it returns.
+                later.extend(
+                    asyncio.ensure_future(batcher.submit(
+                        BatchOp("lookup", [key])))
+                    for key in (2, 3, 4)
+                )
+            return [list(op.keys) for op in batch]
+
+        batcher = MicroBatcher(handler)
+        assert await batcher.submit(BatchOp("lookup", [1])) == [1]
+        assert [await f for f in later] == [[2], [3], [4]]
+        assert batches == [[[1]], [[2], [3], [4]]]
+        await batcher.close()
+
+    asyncio.run(scenario())
+
+
 def test_batcher_coalesces_concurrent_submissions():
-    """Ops arriving within one window land in one handler call, in order."""
+    """Ops queued before the flush task runs land in one handler call,
+    in order."""
     async def scenario():
         handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=1024, window_s=0.02)
+        batcher = MicroBatcher(handler, max_batch=1024)
         results = await asyncio.gather(
             batcher.submit(BatchOp("lookup", [1])),
             batcher.submit(BatchOp("insert", [2], [20])),
@@ -132,16 +162,17 @@ def test_batcher_coalesces_concurrent_submissions():
 
 
 def test_batcher_full_batch_flushes_before_window():
-    """max_batch key-ops flush at once even with a very long window."""
+    """One flush takes at most max_batch key-ops; the rest of the queue
+    flushes as the next batch."""
     async def scenario():
         handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=4, window_s=60.0)
+        batcher = MicroBatcher(handler, max_batch=4)
         results = await asyncio.gather(
             *[batcher.submit(BatchOp("lookup", [i, i])) for i in range(4)]
         )
         assert results == [[i, i] for i in range(4)]
-        # 8 key-ops with a 4-op budget: two batches of two requests each,
-        # neither waiting out the 60 s window.
+        # 8 key-ops queued together with a 4-op budget: two batches of
+        # two requests each.
         assert [len(b) for b in handler.batches] == [2, 2]
         await batcher.close()
 
@@ -153,8 +184,7 @@ def test_batcher_never_splits_a_request():
     alone rather than being chopped."""
     async def scenario():
         handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=4, max_queue=4,
-                               window_s=0.001)
+        batcher = MicroBatcher(handler, max_batch=4, max_queue=4)
         result = await batcher.submit(BatchOp("lookup", list(range(10))))
         assert result == list(range(10))
         assert [len(b) for b in handler.batches] == [1]
@@ -172,11 +202,13 @@ def test_batcher_sheds_past_queue_bound():
         async def run():
             batcher = MicroBatcher(
                 lambda batch: [list(op.keys) for op in batch],
-                max_batch=4, max_queue=8, window_s=60.0,
+                max_batch=4, max_queue=8,
             )
             first = asyncio.ensure_future(
                 batcher.submit(BatchOp("lookup", [1, 2, 3])))
-            await asyncio.sleep(0)  # let it enqueue (depth 3 < max_batch 4)
+            # One turn: it enqueues (depth 3); the flush task it created
+            # has not run yet.
+            await asyncio.sleep(0)
             with pytest.raises(Overloaded):
                 await batcher.submit(BatchOp("lookup", list(range(6))))
             assert batcher.ops_shed == 1
@@ -195,12 +227,14 @@ def test_batcher_close_drains_accepted_work_and_rejects_new():
     get BatcherClosed."""
     async def scenario():
         handler = RecordingHandler()
-        batcher = MicroBatcher(handler, max_batch=1024, window_s=60.0)
+        batcher = MicroBatcher(handler, max_batch=1024)
         pending = [
             asyncio.ensure_future(batcher.submit(BatchOp("lookup", [i])))
             for i in range(5)
         ]
-        await asyncio.sleep(0)  # all five queued, window far away
+        # One turn: all five queued; the flush task has not run yet.
+        await asyncio.sleep(0)
+        assert batcher.depth == 5
         await batcher.close()
         assert [await f for f in pending] == [[i] for i in range(5)]
         with pytest.raises(BatcherClosed):
@@ -222,7 +256,7 @@ def test_batcher_handler_raise_fails_batch_not_loop():
                 raise RuntimeError("boom")
             return [list(op.keys) for op in batch]
 
-        batcher = MicroBatcher(flaky, max_batch=1024, window_s=0.001)
+        batcher = MicroBatcher(flaky, max_batch=1024)
         with pytest.raises(RuntimeError):
             await batcher.submit(BatchOp("lookup", [1]))
         assert await batcher.submit(BatchOp("lookup", [2])) == [2]
@@ -240,7 +274,7 @@ def test_batcher_per_op_exception_result():
                 for op in batch
             ]
 
-        batcher = MicroBatcher(handler, max_batch=1024, window_s=0.02)
+        batcher = MicroBatcher(handler, max_batch=1024)
         good, bad = await asyncio.gather(
             batcher.submit(BatchOp("lookup", [1])),
             batcher.submit(BatchOp("update", [2], [20])),
@@ -255,8 +289,7 @@ def test_batcher_per_op_exception_result():
 
 def test_batcher_result_length_mismatch_fails_batch():
     async def scenario():
-        batcher = MicroBatcher(lambda batch: [], max_batch=8,
-                               window_s=0.001)
+        batcher = MicroBatcher(lambda batch: [], max_batch=8)
         with pytest.raises(ValueError, match="0 results"):
             await batcher.submit(BatchOp("lookup", [1]))
         await batcher.close()
@@ -270,8 +303,6 @@ def test_batcher_rejects_bad_parameters():
             MicroBatcher(lambda b: [], max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda b: [], max_batch=8, max_queue=4)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda b: [], window_s=-1.0)
 
     asyncio.run(scenario())
 
@@ -415,22 +446,53 @@ def test_http_request_body_limit_and_eof():
 
 
 def test_serve_config_validation_and_unbatched():
-    config = ServeConfig(batch_window_ms=2.0, max_batch=64, max_queue=128)
-    assert config.batch_window_s == 0.002
+    config = ServeConfig(max_batch=64, max_queue=128)
     solo = config.unbatched()
-    assert solo.max_batch == 1 and solo.batch_window_ms == 0.0
+    assert solo.max_batch == 1
     assert solo.max_queue == 128  # admission bound survives
     with pytest.raises(ValueError):
         ServeConfig(max_batch=0)
     with pytest.raises(ValueError):
         ServeConfig(max_batch=64, max_queue=32)
-    with pytest.raises(ValueError):
-        ServeConfig(batch_window_ms=-1.0)
 
 
 # ---------------------------------------------------------------------------
 # End-to-end: TableServer + AsyncServeClient
 # ---------------------------------------------------------------------------
+
+
+class FlushGate(asyncio.Event):
+    """Stands in for a batcher's arrival event so a test can pin
+    co-batching over HTTP.
+
+    The idle flush loop waits on this event; :meth:`hold` makes its next
+    wake-up wait until ``ops`` ops are queued (or ``close()`` starts), so
+    that many concurrent requests share one batch. :meth:`install` runs
+    on the server's loop before its first request: it swaps the gate in
+    and starts the flush task, which then idles on the gate.
+    """
+
+    def __init__(self, batcher):
+        super().__init__()
+        self._batcher = batcher
+        self._need = 1
+
+    @classmethod
+    def install(cls, server):
+        batcher = server._batcher
+        gate = cls(batcher)
+        batcher._arrived = gate
+        batcher._ensure_running()
+        return gate
+
+    def hold(self, ops):
+        self._need = ops
+
+    def set(self):
+        batcher = self._batcher
+        if len(batcher._queue) >= self._need or batcher.closing:
+            self._need = 1
+            super().set()
 
 
 def run_with_server(scenario, table=None, config=None, registry=None):
@@ -487,9 +549,11 @@ def test_server_isolates_failing_request_within_batch():
     """Two inserts coalesced into one batch: the duplicate fails, the
     innocent one lands."""
     async def scenario(server, table):
+        gate = FlushGate.install(server)
         async with AsyncServeClient(port=server.port) as c1, \
                 AsyncServeClient(port=server.port) as c2:
             await c1.insert([("taken", 5)])
+            gate.hold(2)
             good, bad = await asyncio.gather(
                 c1.insert([("fresh", 6)]),
                 c2.insert([("taken", 7), ("casualty", 8)]),
@@ -501,8 +565,7 @@ def test_server_isolates_failing_request_within_batch():
             # the failing request was all-or-nothing rejected
             assert len(table) == 2
 
-    run_with_server(
-        scenario, config=ServeConfig(batch_window_ms=20.0))
+    run_with_server(scenario)
 
 
 class _PrefixExhaustingTable:
@@ -631,8 +694,10 @@ def test_coalesced_507_leaves_no_key_and_a_retry_lands():
     dense = _routed(table, 1, 1000, 3)
 
     async def scenario(server, table):
+        gate = FlushGate.install(server)
         async with AsyncServeClient(port=server.port) as c1, \
                 AsyncServeClient(port=server.port) as c2:
+            gate.hold(2)
             first = await asyncio.gather(
                 c1.insert([(key, 7) for key in sparse]),
                 c2.insert([(key, 8) for key in dense]),
@@ -646,8 +711,7 @@ def test_coalesced_507_leaves_no_key_and_a_retry_lands():
             assert await c2.insert([(key, 8) for key in dense]) == 3
             assert await c1.lookup(sparse + dense) == [7] * 3 + [8] * 3
 
-    run_with_server(scenario, table=table,
-                    config=ServeConfig(batch_window_ms=50.0))
+    run_with_server(scenario, table=table)
 
 
 def test_failing_update_or_delete_request_applies_none_of_its_keys():
@@ -669,9 +733,11 @@ def test_failing_update_or_delete_request_applies_none_of_its_keys():
 
 def test_coalesced_update_run_isolates_the_offender():
     async def scenario(server, table):
+        gate = FlushGate.install(server)
         async with AsyncServeClient(port=server.port) as c1, \
                 AsyncServeClient(port=server.port) as c2:
             await c1.insert([(1, 10), (2, 20)])
+            gate.hold(2)
             good, bad = await asyncio.gather(
                 c1.update([(1, 11)]),
                 c2.update([(2, 21), ("ghost", 1)]),
@@ -681,13 +747,16 @@ def test_coalesced_update_run_isolates_the_offender():
             assert isinstance(bad, KeyNotFound)
             assert await c1.lookup([1, 2]) == [11, 20]
 
-    run_with_server(scenario, config=ServeConfig(batch_window_ms=20.0))
+    run_with_server(scenario)
 
 
 def test_server_mixed_kind_batch_preserves_arrival_order():
     """A lookup submitted after an insert, coalesced into the same
     micro-batch, observes the insert."""
     async def scenario(server, table):
+        # Hold the flush so both requests land in one batch; gather
+        # issues the insert first, so arrival order is insert-then-lookup.
+        FlushGate.install(server).hold(2)
         async with AsyncServeClient(port=server.port) as c1, \
                 AsyncServeClient(port=server.port) as c2:
             insert_result, lookup_result = await asyncio.gather(
@@ -697,13 +766,14 @@ def test_server_mixed_kind_batch_preserves_arrival_order():
             assert insert_result == 1
             assert lookup_result == [3]
 
-    # A long window so both requests land in one batch; gather issues
-    # the insert first, so arrival order is insert-then-lookup.
-    run_with_server(scenario, config=ServeConfig(batch_window_ms=50.0))
+    run_with_server(scenario)
 
 
 def test_server_sheds_when_queue_full():
     async def scenario(server, table):
+        # Hold the flush until the queue is full, so all three arrive
+        # while the first two are queued.
+        FlushGate.install(server).hold(2)
         async with AsyncServeClient(port=server.port) as c1, \
                 AsyncServeClient(port=server.port) as c2, \
                 AsyncServeClient(port=server.port) as c3:
@@ -721,8 +791,7 @@ def test_server_sheds_when_queue_full():
     run_with_server(
         scenario,
         table=make_table(n_keys=10),
-        # window long enough that all three arrive while queued
-        config=ServeConfig(batch_window_ms=100.0, max_batch=6, max_queue=6),
+        config=ServeConfig(max_batch=6, max_queue=6),
     )
 
 
@@ -762,13 +831,16 @@ def test_server_graceful_stop_answers_inflight_then_rejects():
     the drain gets connection refused / 503."""
     async def scenario():
         table = make_table(n_keys=4)
-        server = TableServer(
-            table, ServeConfig(batch_window_ms=200.0))
+        server = TableServer(table, ServeConfig())
+        # Hold the flush for a second op that never comes: only stop()
+        # releases the request.
+        FlushGate.install(server).hold(2)
         await server.start()
         port = server.port
         client = AsyncServeClient(port=port)
         pending = asyncio.ensure_future(client.lookup([1, 2]))
-        await asyncio.sleep(0.02)  # parked in the 200 ms window
+        while not server._batcher.depth:  # parked in the batcher's queue
+            await asyncio.sleep(0.001)
         await server.stop()
         assert await pending == [1 % (1 << 12), 2 % (1 << 12)]
         await client.close()

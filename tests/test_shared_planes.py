@@ -517,6 +517,31 @@ class TestSegmentHygiene:
             planes.destroy()
         assert not _segments()
 
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_mapping_views_are_plain_ndarrays(self, packed):
+        """Header, block words and every shard's storage are plain
+        ndarrays on both roles (a ``memmap`` view would route each scalar
+        cell access through Python-level ``memmap.__getitem__``), and they
+        still alias the one shared mapping."""
+        owner = SharedPlanes.create(64, 12, 3, packed=packed, num_shards=3)
+        try:
+            reader = SharedPlanes.attach(owner.spec)
+            try:
+                for handle in (owner, reader):
+                    segment = handle._segment
+                    assert type(segment.header) is np.ndarray
+                    assert type(segment.block.words) is np.ndarray
+                    for shard in handle.shards():
+                        storage = shared_planes._storage(shard._inner)
+                        assert type(storage) is np.ndarray
+                owner.shards()[2].set((1, 7), 0x5A5)
+                assert reader.shards()[2].get((1, 7)) == 0x5A5
+            finally:
+                reader.close()
+        finally:
+            owner.destroy()
+        assert not _segments()
+
     def test_close_demotes_to_private_snapshot(self):
         planes = SharedPlanes.create(16, 8, 3)
         planes.set((0, 5), 0x2A)
