@@ -93,21 +93,35 @@ class RecordingHandler:
         return [list(op.keys) for op in batch]
 
 
-def test_batcher_lone_op_flushes_within_a_few_loop_turns():
-    """Group commit holds nothing: a lone op is answered after a few
+def test_batcher_single_op_flushed_by_window_expiry():
+    """One lone op must not wait for a full batch. There is no window left
+    to expire: group commit flushes the op on the flush loop's first turn,
+    alone, well short of ``max_batch``."""
+    async def scenario():
+        handler = RecordingHandler()
+        batcher = MicroBatcher(handler, max_batch=1024)
+        result = await batcher.submit(BatchOp("lookup", [1, 2, 3]))
+        assert result == [1, 2, 3]
+        assert handler.batches == [[("lookup", [1, 2, 3])]]
+        await batcher.close()
+
+    asyncio.run(scenario())
+
+
+def test_batcher_zero_window_flushes_immediately():
+    """Group commit, the policy a zero window used to select, is the only
+    one: a lone op on a default batcher is answered after a few
     ``asyncio.sleep(0)`` turns, with no timer to wait out."""
     async def scenario():
         handler = RecordingHandler()
         batcher = MicroBatcher(handler)
-        pending = asyncio.ensure_future(
-            batcher.submit(BatchOp("lookup", [1, 2, 3])))
+        pending = asyncio.ensure_future(batcher.submit(BatchOp("lookup", [9])))
         for _ in range(5):
             await asyncio.sleep(0)
             if pending.done():
                 break
         assert pending.done()
-        assert pending.result() == [1, 2, 3]
-        assert handler.batches == [[("lookup", [1, 2, 3])]]
+        assert pending.result() == [9]
         assert batcher.batches_flushed == 1
         await batcher.close()
 
