@@ -21,12 +21,15 @@ table's metrics registry as ``<out-base>.metrics.json`` /
 ``<out-base>.metrics.prom`` sidecars — the timed legs above stay
 hook-free so the speedup numbers measure the bare write path.
 
-Results and speedups are written to ``BENCH_build.json``. ``--check`` exits non-zero when the speedups fall
-below the thresholds (halved in ``--smoke`` mode, whose small n keeps the
-whole run under ~30 s for CI while still catching a >2x write-path
-regression), when the metrics sidecar fails to parse, when the
-walk-length histogram is empty, or when the exported counter totals
-disagree with the legacy ``TableStats`` fields.
+Results and speedups are written to ``BENCH_build.json``, with the numpy
+version and the core count they were measured under (what numpy's
+primitives cost changes between its versions). ``--check`` exits
+non-zero when the speedups fall below the thresholds (halved in
+``--smoke`` mode, whose small n keeps the whole run under ~30 s for CI
+while still catching a >2x write-path regression), when the metrics
+sidecar fails to parse, when the walk-length histogram is empty, or when
+the exported counter totals disagree with the legacy ``TableStats``
+fields.
 
 Run from the repository root::
 
@@ -238,6 +241,8 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "value_bits": VALUE_BITS,
         "seed": SEED,
+        "numpy": np.__version__,
+        "cores": os.cpu_count(),
         "legs": legs,
         "speedups": speedups,
         "thresholds": thresholds,

@@ -46,6 +46,8 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from repro.hashing import has_duplicates
+
 Cell = Tuple[int, int]
 
 #: Rows a fresh table reserves.
@@ -203,7 +205,7 @@ class AssistantTable:
         if n == 0:
             return
         if validate:
-            if np.unique(handles).size != n:
+            if has_duplicates(handles):
                 raise KeyError("duplicate key within batch")
             hits = self.contains_batch(handles)
             if bool(hits.any()):

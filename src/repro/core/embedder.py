@@ -32,7 +32,7 @@ import numpy.typing as npt
 
 from repro.core.assistant_table import AssistantTable, Columns, Journal
 from repro.core.config import EmbedderConfig
-from repro.core.engine import ScalarEngine
+from repro.core.engine import HashedRows, ScalarEngine
 from repro.core.packed_table import PackedValueTable
 from repro.core.errors import (
     DuplicateKey,
@@ -45,7 +45,12 @@ from repro.core.stats import TableStats
 from repro.core.static_build import static_build_arrays
 from repro.core.update import make_strategy, search_update_path, write_back
 from repro.core.value_table import ValueTable, xor_lookup, xor_lookup_batch
-from repro.hashing import HashFamily, key_to_u64, keys_to_u64_batch
+from repro.hashing import (
+    HashFamily,
+    has_duplicates,
+    key_to_u64,
+    keys_to_u64_batch,
+)
 from repro.obs.hooks import MetricsHooks, WalkHooks, default_metrics_enabled
 from repro.table import Key, ValueOnlyTable
 
@@ -264,7 +269,11 @@ class VisionEmbedder(ValueOnlyTable):
     # repro: raises(DuplicateKey, ValueError, TypeError, UpdateFailure)
     # repro: raises(SpaceExhausted, ReconstructionFailed)
     def insert_batch(  # repro: hotpath
-        self, keys: Iterable[Key], values: Iterable[int]
+        self,
+        keys: Iterable[Key],
+        values: Iterable[int],
+        *,
+        hashed: Optional[HashedRows] = None,
     ) -> None:
         """Insert many new pairs through the vectorised write pipeline.
 
@@ -273,6 +282,12 @@ class VisionEmbedder(ValueOnlyTable):
         pass, and the whole batch is validated (duplicates, value range)
         before anything is registered — a rejected batch leaves the table
         untouched.
+
+        ``hashed`` is ``(seed, rows)``: the batch's ``(num_arrays, n)``
+        index rows, hashed under master seed ``seed`` in key order. A
+        :class:`~repro.core.sharded.ShardedEmbedder` hashes a whole
+        request once and hands each shard its rows; they are used while
+        the table's seed is ``seed`` and recomputed otherwise.
 
         The write engine (:mod:`repro.core.engine`) then repairs the
         batch key by key, walk-for-walk identical to sequential
@@ -293,7 +308,7 @@ class VisionEmbedder(ValueOnlyTable):
         value_list = self._checked_values(values, n)
         if n == 0:
             return
-        if np.unique(handles).size != n:
+        if has_duplicates(handles):
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(handles)
         if bool(hits.any()):
@@ -302,7 +317,7 @@ class VisionEmbedder(ValueOnlyTable):
         self._stats.note_batch(n)
         journal = self._open_journal(n) if self._journal is None else None
         try:
-            self._engine.insert_batch(self, handles, value_list)
+            self._engine.insert_batch(self, handles, value_list, hashed)
         except BaseException:
             if journal is not None:
                 self._rollback(journal)
@@ -452,7 +467,6 @@ class VisionEmbedder(ValueOnlyTable):
             table.insert_many(pair_list)
         return table
 
-    # repro: atomic
     # repro: raises(DuplicateKey, ValueError, TypeError)
     # repro: raises(ReconstructionFailed)
     def bulk_load(self, pairs: Iterable[Tuple[Key, int]]) -> None:
@@ -461,11 +475,12 @@ class VisionEmbedder(ValueOnlyTable):
         Uses the Bloomier-style greedy peel (§II "Static Construction",
         offered for reconstruction in §IV-C): O(n) total rather than n
         dynamic repair walks, succeeding with near-certainty at the default
-        1.7 cells/key. Reseeds and retries on the rare peel stall; if no
-        seed within the retry budget works, the table is restored
-        bit-for-bit to its pre-call state before
-        :class:`ReconstructionFailed` propagates (all-or-nothing, like
-        :meth:`insert_batch`).
+        1.7 cells/key. The new pairs are validated first (duplicates, keys
+        already present, value range), so a rejected load changes nothing.
+        Reseeds and retries on the rare peel stall; if no seed within the
+        retry budget works, the table is restored bit-for-bit to its
+        pre-call state before :class:`ReconstructionFailed` propagates
+        (all-or-nothing, like :meth:`insert_batch`).
         """
         pair_list = list(pairs)
         if not pair_list:
@@ -476,7 +491,7 @@ class VisionEmbedder(ValueOnlyTable):
         new_values = self._checked_values(
             map(itemgetter(1), pair_list), len(pair_list)
         )
-        if np.unique(new_handles).size != len(new_values):
+        if has_duplicates(new_handles):
             raise DuplicateKey("duplicate keys within batch")
         hits = self._assistant.contains_batch(new_handles)
         if bool(hits.any()):
@@ -484,13 +499,25 @@ class VisionEmbedder(ValueOnlyTable):
             raise DuplicateKey(
                 f"key {pair_list[offender][0]!r} already inserted"
             )
-        new_value_arr = np.asarray(new_values, dtype=np.uint64)
+        self._bulk_load_arrays(
+            new_handles, np.asarray(new_values, dtype=np.uint64)
+        )
+
+    # repro: atomic
+    def _bulk_load_arrays(
+        self,
+        new_handles: npt.NDArray[np.uint64],
+        new_values: npt.NDArray[np.uint64],
+    ) -> None:
+        """:meth:`bulk_load` of handles and values that are already
+        checked: distinct, none present, each fitting the value width (a
+        sharded table validates a whole build at its front)."""
         self._stats.note_batch(len(new_values))
         snapshot = self._snapshot_state()
         self._journal_base(snapshot)
         _, _, live = snapshot
         key_array = np.concatenate([live.keys, new_handles])
-        value_array = np.concatenate([live.values, new_value_arr])
+        value_array = np.concatenate([live.values, new_values])
         try:
             for _ in range(self.config.max_reconstruct_attempts):
                 self._table.clear()

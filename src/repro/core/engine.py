@@ -6,8 +6,9 @@ one pair in the columnar
 repair walk, in batch order — walk for walk what sequential
 :meth:`VisionEmbedder.insert` calls do, so a batch leaves a bit-equal
 table. The batch only shares the work around the walks: the cells of
-every key come from one vectorised hashing pass (recomputed for the
-remaining keys if a mid-batch reconstruction reseeds the hashes).
+every key come from one vectorised hashing pass — the sharded front's,
+when it hashed the whole request under every shard's seeds — recomputed
+for the remaining keys if a mid-batch reconstruction reseeds the hashes.
 Updates go the same way, one value change and one walk per key; deletes
 only drop bucket entries.
 
@@ -21,7 +22,7 @@ the static peel of :mod:`repro.core.static_build` (§IV-C).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -30,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
     from repro.core.embedder import VisionEmbedder
 
 Cell = Tuple[int, int]
+
+#: A batch's ``(num_arrays, n)`` index rows with the master seed they were
+#: hashed under: ``(seed, rows)``.
+HashedRows = Tuple[int, npt.NDArray[np.int64]]
 
 
 class ScalarEngine:
@@ -40,31 +45,35 @@ class ScalarEngine:
         emb: "VisionEmbedder",
         handles: npt.NDArray[np.uint64],
         value_list: List[int],
+        hashed: Optional[HashedRows] = None,
     ) -> None:  # repro: hotpath
         """Insert a pre-validated batch (the embedder checked duplicates
         and value ranges, and undoes the batch from its journal on any
-        failure)."""
+        failure). ``hashed`` rows are used only while the table hashes with
+        their seed."""
         assistant = emb._assistant
 
-        def hash_rows(
-            key_arr: npt.NDArray[np.uint64],
+        def cells_of(
+            rows: npt.NDArray[np.int64],
         ) -> List[Tuple[Cell, ...]]:
-            # One vectorised hashing pass, pre-assembled into per-key cells
-            # tuples ((0, t0), (1, t1), ...).
+            # Index rows, pre-assembled into per-key cells tuples
+            # ((0, t0), (1, t1), ...).
             return list(zip(*(
-                [(j, t) for t in arr.tolist()]
-                for j, arr in enumerate(emb._hashes.indices_batch(key_arr))
+                [(j, t) for t in row.tolist()] for j, row in enumerate(rows)
             )))
 
         handle_list = handles.tolist()
-        cells_rows = hash_rows(handles)
-        base = 0
         hashed_seed = emb._seed
+        if hashed is not None and hashed[0] == hashed_seed:
+            cells_rows = cells_of(hashed[1])
+        else:
+            cells_rows = cells_of(emb._hashes.indices_batch(handles))
+        base = 0
         for i, handle in enumerate(handle_list):
             if emb._seed != hashed_seed:
                 # A mid-batch reconstruction reseeded every hash function:
                 # recompute the remaining keys' cells in one batched pass.
-                cells_rows = hash_rows(handles[i:])
+                cells_rows = cells_of(emb._hashes.indices_batch(handles[i:]))
                 base = i
                 hashed_seed = emb._seed
             assistant.add(

@@ -71,11 +71,12 @@ from repro.core.embedder import (
     _key_at,
     plane_width,
 )
+from repro.core.engine import HashedRows
 from repro.core.errors import DuplicateKey, KeyNotFound
 from repro.core.packed_table import PackedValueTable
 from repro.core.stats import STAT_FIELDS, TableStats
 from repro.core.value_table import PlaneBlock, ValueTable, xor_lookup_batch
-from repro.hashing import HashFamily, key_to_u64, seed_table
+from repro.hashing import HashFamily, has_duplicates, key_to_u64, seed_table
 from repro.obs.registry import MetricsRegistry, aggregate
 from repro.table import Key, ValueOnlyTable
 
@@ -94,6 +95,12 @@ _MIX_2 = 0xC4CEB9FE1A85EC53
 
 #: Executor kinds accepted by :meth:`ShardedEmbedder.build`.
 _EXECUTORS = ("thread", "process")
+
+#: One shard's part of a build: ``(shard, handles, values, method,
+#: hashed)``; ``hashed`` holds the rows the front hashed a dynamic slice
+#: under the shard's seed, or None (the shard hashes the slice itself).
+_ShardJob = Tuple[int, npt.NDArray[np.uint64], npt.NDArray[np.uint64], str,
+                  Optional[HashedRows]]
 
 
 def route_handle(
@@ -175,6 +182,29 @@ class BlockReader:
         self._masters: List[int] = []
         self._seeds = seed_table(self._masters, num_arrays)
 
+    def indices(  # repro: hotpath
+        self,
+        masters: List[int],
+        ids: npt.NDArray[np.intp],
+        handles: npt.NDArray[np.uint64],
+    ) -> npt.NDArray[np.int64]:
+        """The ``(num_arrays, k)`` index rows of ``handles``, key ``i``
+        hashed in one pass under the seeds of shard ``ids[i]``, whose
+        master seed is ``masters[ids[i]]`` — bit-identical to what that
+        shard's own :class:`HashFamily` computes."""
+        return self._hashes.indices_batch(
+            handles, seeds=self._shard_seeds(masters, ids)
+        )
+
+    def _shard_seeds(
+        self, masters: List[int], ids: npt.NDArray[np.intp]
+    ) -> npt.NDArray[np.uint32]:
+        """Column ``i`` holds the per-function seeds of shard ``ids[i]``."""
+        if masters != self._masters:
+            self._seeds = seed_table(masters, len(self._hashes))
+            self._masters = masters
+        return np.take(self._seeds, ids, axis=1)
+
     def lookup(  # repro: hotpath
         self,
         block: PlaneBlock,
@@ -190,9 +220,6 @@ class BlockReader:
         paper's three hashes, three reads and one XOR (§III), for the
         whole batch at once. Answers come back in input order.
         """
-        if masters != self._masters:
-            self._seeds = seed_table(masters, len(self._hashes))
-            self._masters = masters
         handle_array = np.asarray(handles, dtype=np.uint64)
         # The router's uint8 ids would wrap under the offset arithmetic.
         ids = route_handles(
@@ -200,7 +227,7 @@ class BlockReader:
         ).astype(np.intp)
         return xor_lookup_batch(
             block.table, self._hashes, handle_array,
-            seeds=np.take(self._seeds, ids, axis=1), bases=ids * block.stride,
+            seeds=self._shard_seeds(masters, ids), bases=ids * block.stride,
         )
 
 
@@ -213,8 +240,9 @@ def _build_shard_payload(
     A :class:`VisionEmbedder` holds weakrefs and locks, so the shard cannot
     cross the process boundary directly; instead the child builds it and
     ships the ``.npz`` persistence payload (fast + slow space) plus the
-    stats counters back, and the parent restores both. Must stay a
-    module-level function so the process pool can pickle it.
+    stats counters back, and the parent restores both. The parent has
+    checked ``keys`` and ``values``. Must stay a module-level function so
+    the process pool can pickle it.
     """
     (capacity, value_bits, num_arrays, packed, seed, config, keys, values,
      method) = args
@@ -223,7 +251,7 @@ def _build_shard_payload(
         num_arrays=num_arrays, packed=packed,
     )
     if method == "static":
-        shard.bulk_load(zip(keys.tolist(), values.tolist()))
+        shard._bulk_load_arrays(keys, values)
     else:
         shard.insert_batch(keys, values.tolist())
     from repro.core.persist import save_embedder
@@ -591,10 +619,10 @@ class ShardedEmbedder(ValueOnlyTable):
 
         One vectorised numpy pass canonicalises the keys, routes them, and
         groups them per shard (stable order, so each shard sees its keys
-        in arrival order); each shard then runs PR 1's batched write
+        in arrival order); each shard then runs its batched write
         pipeline: ``method="dynamic"`` walks the vision updates through
-        ``insert_batch``, ``method="static"`` runs the O(n/S) peel through
-        ``bulk_load``.
+        ``insert_batch``, ``method="static"`` runs the O(n/S) peel of
+        ``bulk_load`` on the checked arrays.
 
         ``executor="thread"`` shares shards with the pool directly — each
         worker owns disjoint shards, so no locking is needed, but the GIL
@@ -615,6 +643,11 @@ class ShardedEmbedder(ValueOnlyTable):
         inserts undo in O(batch); a static peel or a process-built shard
         rewrites the whole shard, so its journal holds the shard's
         pre-call snapshot, which the peel costs anyway.
+
+        The front is the one place the batch is canonicalised and checked
+        and, for dynamic inserts in this process, hashed: one
+        :meth:`BlockReader.indices` pass under every shard's seeds, each
+        shard walking from its slice of the rows.
         """
         if executor not in _EXECUTORS:
             raise ValueError(
@@ -641,7 +674,7 @@ class ShardedEmbedder(ValueOnlyTable):
         values_arr = self._checked_values(values, int(handles.size))
         if not handles.size:
             return
-        if np.unique(handles).size != handles.size:
+        if has_duplicates(handles):
             raise DuplicateKey("duplicate keys within batch")
         order, jobs = partition(handles, self._shard_seed, self.num_shards)
         grouped_handles = handles[order]
@@ -659,22 +692,33 @@ class ShardedEmbedder(ValueOnlyTable):
                         f"and shard {index} already holds keys — use the "
                         "thread executor for incremental builds"
                     )
+        # Dynamic inserts in this process hash every key once, here; a
+        # process-built shard hashes its own keys in its child.
+        hashed: List[Optional[HashedRows]] = [None] * len(jobs)
+        if method == "dynamic" and not in_processes:
+            masters = [shard.seed for shard in self._shards]
+            ids = np.repeat(
+                np.array([index for index, _, _ in jobs], dtype=np.intp),
+                [hi - lo for _, lo, hi in jobs],
+            )
+            rows = self._reader.indices(masters, ids, grouped_handles)
+            hashed = [
+                (masters[index], rows[:, lo:hi]) for index, lo, hi in jobs
+            ]
+        shard_jobs: List[_ShardJob] = [
+            (index, grouped_handles[lo:hi], grouped_values[lo:hi], method,
+             one)
+            for (index, lo, hi), one in zip(jobs, hashed)
+        ]
 
         def write() -> None:
             if in_processes:
-                self._build_in_processes(
-                    jobs, grouped_handles, grouped_values, method, workers
-                )
+                self._build_in_processes(shard_jobs, workers)
             elif workers > 1 and len(jobs) > 1:
-                self._build_in_threads(
-                    jobs, grouped_handles, grouped_values, method, workers
-                )
+                self._build_in_threads(shard_jobs, workers)
             else:
-                for index, lo, hi in jobs:
-                    self._build_one_shard(
-                        index, grouped_handles[lo:hi], grouped_values[lo:hi],
-                        method,
-                    )
+                for job in shard_jobs:
+                    self._build_one_shard(*job)
 
         started = time.perf_counter()
         self._builds_counter.inc()
@@ -714,9 +758,7 @@ class ShardedEmbedder(ValueOnlyTable):
         grouped_handles = handles[order]
         offender = self._misplaced(key_seq, order, jobs, grouped_handles,
                                    True)
-        if offender is None and once and (
-            np.unique(handles).size != handles.size
-        ):
+        if offender is None and once and has_duplicates(handles):
             seen: Set[int] = set()
             for at, handle in enumerate(handles.tolist()):
                 if handle in seen:
@@ -790,44 +832,33 @@ class ShardedEmbedder(ValueOnlyTable):
         shard_handles: npt.NDArray[np.uint64],
         shard_values: npt.NDArray[np.uint64],
         method: str,
+        hashed: Optional[HashedRows],
     ) -> None:
+        """Write one shard's checked slice of a build; ``hashed`` is the
+        ``(seed, rows)`` the front hashed a dynamic slice under."""
         shard = self._shards[index]
         if method == "static":
-            shard.bulk_load(
-                zip(shard_handles.tolist(), shard_values.tolist())
-            )
+            shard._bulk_load_arrays(shard_handles, shard_values)
         else:
-            shard.insert_batch(shard_handles, shard_values.tolist())
+            shard.insert_batch(
+                shard_handles, shard_values.tolist(), hashed=hashed
+            )
 
     def _build_in_threads(
-        self,
-        jobs: Sequence[Tuple[int, int, int]],
-        grouped_handles: npt.NDArray[np.uint64],
-        grouped_values: npt.NDArray[np.uint64],
-        method: str,
-        workers: int,
+        self, shard_jobs: Sequence[_ShardJob], workers: int
     ) -> None:
         # Each worker mutates only its own shard (jobs are disjoint by
         # construction), so the per-shard single-writer rule holds without
         # any locking.
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(
-                    self._build_one_shard, index,
-                    grouped_handles[lo:hi], grouped_values[lo:hi], method,
-                )
-                for index, lo, hi in jobs
+                pool.submit(self._build_one_shard, *job) for job in shard_jobs
             ]
             for future in futures:
                 future.result()
 
     def _build_in_processes(
-        self,
-        jobs: Sequence[Tuple[int, int, int]],
-        grouped_handles: npt.NDArray[np.uint64],
-        grouped_values: npt.NDArray[np.uint64],
-        method: str,
-        workers: int,
+        self, shard_jobs: Sequence[_ShardJob], workers: int
     ) -> None:
         from repro.core.persist import _read_embedder, _restore_embedder
 
@@ -835,14 +866,13 @@ class ShardedEmbedder(ValueOnlyTable):
             (
                 self._shards[index].capacity, self._value_bits,
                 self.num_arrays, self.packed, self._shards[index].seed,
-                self.config, grouped_handles[lo:hi], grouped_values[lo:hi],
-                method,
+                self.config, shard_handles, shard_values, method,
             )
-            for index, lo, hi in jobs
+            for index, shard_handles, shard_values, method, _ in shard_jobs
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_build_shard_payload, payloads))
-        for (index, _, _), (payload, stats) in zip(jobs, results):
+        for (index, *_), (payload, stats) in zip(shard_jobs, results):
             shard = self._shards[index]
             # The load rewrites the whole shard: its journal keeps the
             # pre-call snapshot to roll back to.

@@ -22,7 +22,9 @@ table-wide bracket never publishes early. Readers wrap each lookup in
 same *even* generation before and after the computation. Readers
 therefore only ever return pre- or post-update values — never a mixture
 — at the cost of an occasional retry, counted in
-:attr:`SharedPlanes.retries`.
+:attr:`SharedPlanes.retries`. A reader waits out an odd generation for as
+long as the process that opened the bracket (its pid is in the header)
+is alive, and fails fast once it is gone.
 
 Segment layout (all 64-bit little-endian words; S shards)::
 
@@ -34,9 +36,10 @@ Segment layout (all 64-bit little-endian words; S shards)::
     word 5       num_arrays (k, 3 in the paper)
     word 6       packed flag (1 = bit-packed words, 0 = one word per cell)
     word 7       shard stride (cells per shard region of the plane block)
-    word 8..     S shard seeds (each shard's embedder hash seed; bumped
+    word 8       owner pid (the process that opened the latest bracket)
+    word 9..     S shard seeds (each shard's embedder hash seed; bumped
                  by its reconstructions), then S shard key counts
-    word 8+2S..  the plane block (PlaneBlock layout)
+    word 9+2S..  the plane block (PlaneBlock layout)
 
 Attach discipline: readers map the segment through ``/dev/shm`` with
 ``numpy.memmap`` when possible, which keeps them out of the
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
@@ -80,9 +84,9 @@ from repro.core.value_table import (
 
 _T = TypeVar("_T")
 
-_MAGIC = 0x5245504C414E4532  # "REPLANE2"
+_MAGIC = 0x5245504C414E4533  # "REPLANE3"
 #: Fixed header words; the per-shard seeds and key counts follow.
-_HEADER_WORDS = 8
+_HEADER_WORDS = 9
 _WORD_BYTES = 8
 
 _MAGIC_SLOT = 0
@@ -93,6 +97,7 @@ _BITS_SLOT = 4
 _ARRAYS_SLOT = 5
 _PACKED_SLOT = 6
 _STRIDE_SLOT = 7
+_OWNER_SLOT = 8
 
 _U64 = np.uint64
 _M64 = (1 << 64) - 1
@@ -100,12 +105,16 @@ _M64 = (1 << 64) - 1
 #: Prefix of the names :meth:`SharedPlanes.create` picks, before its pid.
 SEGMENT_PREFIX = "repro-planes-"
 
-# Reader spin budget while the generation is odd. Owner writes hold the
-# generation odd only for the duration of one numpy plane mutation
-# (microseconds for scalar XORs, ~ms for a full load_dense), so a reader
-# that spins this long is looking at a crashed or wedged owner.
+# Reader wait while the generation is odd. The owner holds it odd for a
+# whole write (a served write request's walks, ~1-5 ms), and a write whose
+# walk fails reconstructs its shard inside the same bracket: a second or
+# more at ~30k keys a shard. A reader spins this many times (~0.5 s), then
+# keeps waiting in short sleeps while the process that opened the bracket
+# is alive. Once that process is gone, or if it is the reader's own (it
+# cannot wait for itself), the reader raises.
 _SPIN_LIMIT = 2_000_000
 _YIELD_EVERY = 1024
+_WAIT_SLEEP_S = 0.001
 # Full compute-retry budget (generation moved mid-read).
 _READ_RETRIES = 64
 
@@ -143,6 +152,29 @@ class SharedTableSpec:
     @property
     def num_shards(self) -> int:
         return self.planes.num_shards
+
+
+def _other_process_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process other than this one.
+
+    A zombie (exited, not yet reaped) counts as gone where ``/proc``
+    tells; a reused pid would read as alive, which only prolongs a wait.
+    """
+    if pid <= 0 or pid == os.getpid():
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # alive, under another user
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            # The state letter follows the parenthesised command name.
+            state = stat.read().rpartition(b")")[2].split()[:1]
+    except OSError:
+        return True  # no procfs: the signal probe has to do
+    return state != [b"Z"]
 
 
 def _storage(inner: _PlaneTable) -> npt.NDArray[np.uint64]:
@@ -287,6 +319,7 @@ class SharedPlanes:
             header[_ARRAYS_SLOT] = _U64(num_arrays)
             header[_PACKED_SLOT] = _U64(1 if packed else 0)
             header[_STRIDE_SLOT] = _U64(stride)
+            header[_OWNER_SLOT] = _U64(os.getpid())
             block = PlaneBlock(
                 table_class, width, value_bits, num_arrays, num_shards,
                 words=full[header_words : header_words + block_words],
@@ -459,11 +492,13 @@ class SharedPlanes:
         return lengths
 
     def begin_update(self) -> None:
-        """Mark a write in flight (generation goes odd). Reentrant, across
-        every shard handle of the segment."""
+        """Mark a write in flight (generation goes odd), recording this
+        process as the one readers wait for. Reentrant, across every
+        shard handle of the segment."""
         self._require_writable()
         segment = self._segment
         if segment.depth == 0:
+            segment.header[_OWNER_SLOT] = _U64(os.getpid())
             segment.header[_GEN_SLOT] = _U64(self.generation + 1)
         segment.depth += 1
 
@@ -504,19 +539,28 @@ class SharedPlanes:
             )
 
     def _await_even(self) -> int:
-        """Spin until the generation is even; return it."""
+        """Wait until the generation is even; return it.
+
+        Spins ``_SPIN_LIMIT`` times, then sleeps in short steps while the
+        process holding the write bracket lives; raises once it has died
+        mid-update, or at once if it is this process.
+        """
+        header = self._segment.header
         spins = 0
         while True:
-            gen = int(self._segment.header[_GEN_SLOT])
+            gen = int(header[_GEN_SLOT])
             if gen & 1 == 0:
                 return gen
-            spins += 1
-            if spins >= _SPIN_LIMIT:
+            if spins < _SPIN_LIMIT:
+                spins += 1
+                if spins % _YIELD_EVERY == 0:
+                    os.sched_yield()
+            elif _other_process_alive(int(header[_OWNER_SLOT])):
+                time.sleep(_WAIT_SLEEP_S)
+            else:
                 raise SharedPlanesError(
                     "generation stuck odd: plane owner crashed mid-update?"
                 )
-            if spins % _YIELD_EVERY == 0:
-                os.sched_yield()
 
     def read_stable(self, compute: Callable[[], _T]) -> _T:
         """Run ``compute`` under seqlock protection and return its result.

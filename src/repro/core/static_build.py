@@ -240,7 +240,9 @@ def static_build_arrays(
     ``keys``/``values`` are the handles and values; ``index_cols[j][i]`` is
     key ``i``'s index into array ``j`` (one vectorised
     ``HashFamily.indices_batch`` call produces exactly this shape). The
-    pairs register in one columnar pass, in ``keys`` order. Raises
+    keys must be distinct and new to ``assistant`` — the callers (a bulk
+    load, a reconstruction) have checked them — and the pairs register
+    in one columnar pass, in ``keys`` order, unchecked. Raises
     :class:`UpdateFailure` if the peel stalls, leaving both structures
     untouched. ``hooks`` receives per-round ``on_peel_round`` events.
     """
@@ -255,5 +257,6 @@ def static_build_arrays(
     value_arr = np.asarray(values, dtype=np.uint64)
     assign_in_reverse_flat(table, rounds, flat_mat, value_arr)
     assistant.add_batch_arrays(
-        np.asarray(keys, dtype=np.uint64), value_arr, flat_mat
+        np.asarray(keys, dtype=np.uint64), value_arr, flat_mat,
+        validate=False,
     )

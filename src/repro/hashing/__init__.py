@@ -12,6 +12,7 @@ from repro.hashing.murmur3 import murmur3_32, murmur3_32_u64, murmur3_32_u64_bat
 from repro.hashing.family import (
     IndexHasher,
     HashFamily,
+    has_duplicates,
     key_to_bytes,
     key_to_u64,
     keys_to_u64_batch,
@@ -24,6 +25,7 @@ __all__ = [
     "murmur3_32_u64_batch",
     "IndexHasher",
     "HashFamily",
+    "has_duplicates",
     "key_to_bytes",
     "key_to_u64",
     "keys_to_u64_batch",

@@ -122,16 +122,22 @@ class ServeProtocolError(ServeError):
 # ---------------------------------------------------------------------------
 
 
+#: The JSON types a key may decode to (``bool`` is not ``int`` here).
+_KEY_TYPES = frozenset((int, str))
+
+
 def parse_keys(body: Dict[str, Any]) -> List[JsonKey]:
     """Validate and extract ``{"keys": [...]}`` (lookup/delete bodies)."""
     keys = body.get("keys")
     if not isinstance(keys, list) or not keys:
         raise ProtocolError('body must carry a non-empty "keys" array')
-    for key in keys:
-        if isinstance(key, bool) or not isinstance(key, (int, str)):
-            raise ProtocolError(
-                f"keys must be integers or strings, got {type(key).__name__}"
-            )
+    # One pass over the key types; the list is walked again only to name
+    # the first offender.
+    if not set(map(type, keys)) <= _KEY_TYPES:
+        bad = next(key for key in keys if type(key) not in _KEY_TYPES)
+        raise ProtocolError(
+            f"keys must be integers or strings, got {type(bad).__name__}"
+        )
     return keys
 
 
@@ -143,11 +149,11 @@ def parse_pairs(
     values = body.get("values")
     if not isinstance(values, list) or len(values) != len(keys):
         raise ProtocolError('"values" must be an array aligned with "keys"')
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(
-                f"values must be integers, got {type(value).__name__}"
-            )
+    if not set(map(type, values)) <= {int}:
+        bad = next(value for value in values if type(value) is not int)
+        raise ProtocolError(
+            f"values must be integers, got {type(bad).__name__}"
+        )
     return keys, values
 
 

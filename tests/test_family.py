@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.hashing.family import (
     HashFamily,
     IndexHasher,
+    has_duplicates,
     key_to_bytes,
     key_to_u64,
     keys_to_u64_batch,
@@ -104,6 +105,40 @@ class TestKeysToU64Batch:
     def test_negative_int_rejected(self, keys):
         with pytest.raises(ValueError, match="non-negative"):
             keys_to_u64_batch(keys)
+
+
+def _random_keys(n, seed):
+    return np.random.default_rng(seed).integers(
+        0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True
+    )
+
+
+class TestHasDuplicates:
+    """The one-sort duplicate check agrees with ``np.unique``'s count."""
+
+    @pytest.mark.parametrize("handles", [
+        np.zeros(0, dtype=np.uint64),
+        np.array([7], dtype=np.uint64),
+        np.array([7, 7], dtype=np.uint64),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
+        np.unique(_random_keys(10_000, 1)),
+        np.concatenate([_random_keys(10_000, 2), _random_keys(1, 2)]),
+    ], ids=["empty", "one", "two-equal", "extremes", "distinct",
+            "first-and-last-equal"])
+    def test_agrees_with_unique(self, handles):
+        assert has_duplicates(handles) == (
+            np.unique(handles).size != handles.size
+        )
+
+    def test_finds_a_duplicate_planted_at_either_end(self):
+        keys = np.unique(_random_keys(10_000, 3))
+        assert not has_duplicates(keys)
+        shuffled = np.random.default_rng(4).permutation(keys)
+        for at, twin in ((0, 1), (-1, -2), (0, -1)):
+            planted = shuffled.copy()
+            planted[at] = planted[twin]
+            assert has_duplicates(planted)
+            assert np.unique(planted).size != planted.size
 
 
 class TestIndexHasher:

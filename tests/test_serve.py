@@ -343,6 +343,44 @@ def test_parse_pairs_validation():
             parse_pairs(bad)
 
 
+@pytest.mark.parametrize("bad,type_name", [
+    (True, "bool"), (1.5, "float"), (None, "NoneType"), ([1], "list"),
+])
+@pytest.mark.parametrize("path,field", [
+    ("/v1/lookup", "keys"), ("/v1/insert", "values"),
+])
+def test_one_bad_item_in_a_large_body_is_named(path, field, bad, type_name):
+    """Validation scans a body's types in one pass; a 1,024-item body
+    with one bad item near its end still gets the 400 naming its type."""
+    keys = list(range(1024))
+    body = {"keys": keys, "values": [7] * 1024}
+    body[field] = list(body[field])
+    body[field][1000] = bad
+    expected = (
+        f"keys must be integers or strings, got {type_name}"
+        if field == "keys" else f"values must be integers, got {type_name}"
+    )
+
+    async def scenario(server, table):
+        payload = json.dumps(body).encode()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", server.port)
+        writer.write(
+            f"POST {path} HTTP/1.1\r\nHost: h\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+        )
+        await writer.drain()
+        status, _, answer = await read_http_response(reader)
+        writer.close()
+        assert status == 400
+        assert json.loads(answer) == {
+            "error": "bad_request", "detail": expected,
+        }
+        assert len(table) == 0
+
+    run_with_server(scenario)
+
+
 @pytest.mark.parametrize("exc,status,code", [
     (Overloaded("q"), 429, "overloaded"),
     (BatcherClosed("d"), 503, "shutting_down"),

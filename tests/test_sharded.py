@@ -425,6 +425,119 @@ class TestAllOrNothing:
         assert len(table) == 2000
 
 
+class TestOnePassPerBatch:
+    """A sharded write is canonicalised, checked and hashed once, at the
+    front; the shards write from what the front hands them."""
+
+    def test_sixteen_key_insert_hashes_once(self, monkeypatch):
+        from repro.hashing import HashFamily
+
+        table = ShardedEmbedder(4000, 16, num_shards=8, seed=3)
+        table.bulk_load((k, k % 65536) for k in range(1, 3001))
+        calls = []
+        original = HashFamily.indices_batch
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HashFamily, "indices_batch", counted)
+        keys = list(range(10_000, 10_016))
+        table.insert_batch(keys, [k % 65536 for k in keys])
+        assert len({table.shard_of(key) for key in keys}) > 1
+        assert len(calls) == 1 and len(calls[0]) == 16
+        monkeypatch.undo()
+        assert table.lookup_many(keys).tolist() == [k % 65536 for k in keys]
+        table.check_invariants()
+
+    def test_reseeded_shard_rehashes_its_remaining_keys(self, monkeypatch):
+        """One shard reconstructs mid-batch: it reseeds, so the rows the
+        front hashed for its remaining keys are stale and must not be
+        walked from; every shard still matches the per-key inserts."""
+        config = EmbedderConfig(max_repair_steps=3, max_search_attempts=1)
+        pairs = _pairs(300, 8, seed=1)
+        per_key = ShardedEmbedder(500, 8, num_shards=4, seed=1,
+                                  config=config)
+        for key, value in pairs:
+            per_key.insert(key, value)
+        batched = ShardedEmbedder(500, 8, num_shards=4, seed=1,
+                                  config=config)
+        rebuilt = []
+        original = VisionEmbedder.reconstruct
+
+        def spied(shard, *args, **kwargs):
+            rebuilt.append((shard, len(shard)))
+            return original(shard, *args, **kwargs)
+
+        monkeypatch.setattr(VisionEmbedder, "reconstruct", spied)
+        batched.insert_batch(
+            [key for key, _ in pairs], [value for _, value in pairs]
+        )
+        monkeypatch.undo()
+        # One shard reseeded once, with keys of the batch still to come.
+        assert len(rebuilt) == 1
+        shard, live_then = rebuilt[0]
+        assert live_then < len(shard)
+        assert _shard_states(batched) == _shard_states(per_key)
+        batched.check_invariants()
+        assert np.array_equal(
+            batched.lookup_batch(_key_array(pairs)), _value_array(pairs)
+        )
+
+    def test_rows_hashed_under_another_seed_are_not_walked_from(self):
+        from repro.hashing import HashFamily
+
+        pairs = _pairs(200, 12, seed=8)
+        keys = _key_array(pairs)
+        values = [value for _, value in pairs]
+        plain = VisionEmbedder(300, 12, seed=4)
+        plain.insert_batch(keys, values)
+        handed = VisionEmbedder(300, 12, seed=4)
+        stale = HashFamily(3, [handed._table.width] * 3).indices_batch(keys)
+        handed.insert_batch(keys, values, hashed=(3, stale))
+        assert (handed._table.to_dense().tobytes()
+                == plain._table.to_dense().tobytes())
+        handed.check_invariants()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("method", ["static", "dynamic"])
+    @pytest.mark.parametrize("case", ["repeated", "live", "value"])
+    def test_build_rejects_before_any_shard_changes(
+        self, monkeypatch, case, method, executor
+    ):
+        table = ShardedEmbedder(400, 8, num_shards=4, seed=2)
+        live = _shard_keys(table, 2, 1, 5)
+        table.insert_batch(live, [9] * len(live))
+        before = _shard_states(table)
+        keys = (_shard_keys(table, 0, 1000, 3)
+                + _shard_keys(table, 1, 1000, 3))
+        values = [5] * len(keys)
+        expected = DuplicateKey
+        if case == "repeated":
+            keys.append(keys[0])
+            values.append(6)
+        elif case == "live":
+            keys.append(live[0])
+            values.append(6)
+        else:
+            values[-1] = 256  # out of range for 8-bit values
+            expected = ValueError
+        opened = []
+        original = VisionEmbedder._open_journal
+
+        def spied(shard, rows):
+            opened.append(shard)
+            return original(shard, rows)
+
+        monkeypatch.setattr(VisionEmbedder, "_open_journal", spied)
+        with pytest.raises(expected) as caught:
+            table.build(list(zip(keys, values)), workers=2, method=method,
+                        executor=executor)
+        assert "process" not in str(caught.value)
+        assert opened == []  # no shard began to write
+        assert _shard_states(table) == before
+
+
 class TestConstruction:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

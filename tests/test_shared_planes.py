@@ -325,6 +325,49 @@ class TestSeqlock:
         finally:
             planes.destroy()
 
+    def test_reader_in_the_owner_process_does_not_wait_for_itself(self):
+        planes = SharedPlanes.create(32, 8, 3)
+        try:
+            reader = SharedPlanes.attach(planes.spec)
+            try:
+                with planes.transaction():
+                    with pytest.raises(SharedPlanesError, match="stuck odd"):
+                        reader.get((0, 0))
+            finally:
+                reader.close()
+        finally:
+            planes.destroy()
+
+    def test_reader_raises_once_the_owner_has_exited(self):
+        # The owner dies mid-update, leaving the generation odd: a reader
+        # must fail fast rather than wait for a bracket nobody will close.
+        planes = SharedPlanes.create(32, 8, 3)
+        try:
+            owner = multiprocessing.get_context("fork").Process(
+                target=_open_bracket_and_exit, args=(planes,)
+            )
+            owner.start()
+            owner.join(timeout=10.0)
+            assert owner.exitcode == 0
+            assert planes.generation % 2 == 1
+            reader = SharedPlanes.attach(planes.spec)
+            try:
+                started = time.monotonic()
+                with pytest.raises(SharedPlanesError, match="stuck odd"):
+                    reader.get((0, 0))
+                assert time.monotonic() - started < 5.0
+            finally:
+                reader.close()
+        finally:
+            planes.destroy()
+        assert not _segments()
+
+
+def _open_bracket_and_exit(planes):
+    """A forked owner that dies inside its write bracket."""
+    planes.begin_update()
+    os._exit(0)
+
 
 # ---------------------------------------------------------------------------
 # Torn-read stress: a real reader process vs a live writer
@@ -368,7 +411,72 @@ def _stress_block_reader(spec, keys, values, duration_s, conn):
         conn.close()
 
 
+def _bracket_reader(spec, keys, values, conn):
+    """Read every key through a worker until told to stop; report wrong
+    answers, reads, errors and the longest read."""
+    rpc_end, unused_end = multiprocessing.Pipe()
+    worker = WorkerTable(spec, rpc_end)
+    try:
+        wrong = reads = 0
+        errors = []
+        longest = 0.0
+        while not conn.poll():
+            started = time.monotonic()
+            try:
+                wrong += int((worker.lookup_batch(keys) != values).sum())
+            except SharedPlanesError as exc:
+                errors.append(str(exc))
+            longest = max(longest, time.monotonic() - started)
+            reads += 1
+            if reads == 1:
+                conn.send("reading")
+        conn.send((wrong, reads, errors, longest))
+    finally:
+        worker.close()
+        rpc_end.close()
+        unused_end.close()
+        conn.close()
+
+
 class TestTornReads:
+    def test_worker_read_waits_out_a_long_bracket(self):
+        # An owner write whose walk fails reconstructs its shard inside
+        # the write bracket, which can take a second or more: a worker's
+        # read must wait it out and answer right, not raise.
+        table = ShardedEmbedder(800, 16, num_shards=4, seed=5)
+        keys = np.arange(1, 501, dtype=np.uint64) * np.uint64(7919)
+        values = (keys * np.uint64(13) + np.uint64(5)) % np.uint64(65536)
+        table.insert_batch(keys, values.tolist())
+        spec = share_table(table)
+        try:
+            ctx = multiprocessing.get_context("fork")
+            parent, child = ctx.Pipe()
+            reader = ctx.Process(
+                target=_bracket_reader, args=(spec, keys, values, child),
+                daemon=True,
+            )
+            reader.start()
+            child.close()
+            assert parent.poll(10.0) and parent.recv() == "reading"
+            started = time.monotonic()
+            with write_bracket(table):
+                table.reconstruct(shard=0)
+                time.sleep(max(0.0, 1.6 - (time.monotonic() - started)))
+            time.sleep(0.1)
+            parent.send("stop")
+            assert parent.poll(10.0), "bracket reader sent nothing"
+            wrong, reads, errors, longest = parent.recv()
+            reader.join(timeout=10.0)
+            parent.close()
+            assert not reader.is_alive()
+            assert errors == []
+            assert wrong == 0, f"{wrong} wrong answers over {reads} reads"
+            assert longest >= 1.0, "no read overlapped the bracket"
+        finally:
+            unshare_table(table)
+        table.check_invariants()
+        assert not _segments()
+
     def test_worker_block_read_survives_shard_reconstructions(self):
         # A shard reconstruction changes that shard's seed and every one
         # of its cells; a worker that read the header seeds, or gathered,
